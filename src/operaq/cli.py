@@ -479,9 +479,9 @@ def run(command: str, inputs, tol_pairs, seed: Optional[int]):
         envelope["result"] = result
         envelope["passed"] = bool(passed)
         return envelope, 0 if passed else 1
-    except OperaqError as e:
+    except (OperaqError, ValueError, np.linalg.LinAlgError, MemoryError) as e:
         LOG.error("%s", e)
-        envelope["error"] = str(e)
+        envelope["error"] = str(e) or type(e).__name__
         return envelope, 2
     except FileNotFoundError as e:
         envelope["error"] = f"{e.filename}: file not found"

@@ -71,12 +71,6 @@ def clone_generator(d: int, name: Optional[str] = None) -> FormalGenerator:
     )
 
 
-def broadcast_generator(d: int, name: Optional[str] = None) -> FormalGenerator:
-    # the defining property is marginal preservation: both partial traces
-    # of the output must reproduce the input state
-    return FormalGenerator(name or f"Broadcast_{d}", d, lambda p: p)
-
-
 def _as_multimap(op) -> channels.OperatorMultiMap:
     if isinstance(op, channels.OperatorMultiMap):
         return op
@@ -91,7 +85,7 @@ def grouped_channel(mm: channels.OperatorMultiMap) -> channels.QuantumChannel:
     """The channel on the tensor product space that a multimap induces by
     grouping its slots."""
     din = int(np.prod(mm.input_operator_dims)) if mm.input_operator_dims else 1
-    s = mm.action_matrix @ linalg.mingle(mm.input_operator_dims).T
+    s = mm.action_matrix[:, linalg.mingle_index(mm.input_operator_dims)]
     return channels.QuantumChannel(
         din, mm.output_operator_dim, channels.superop_to_choi(s, din, mm.output_operator_dim)
     )
@@ -165,9 +159,9 @@ def sigma_multimap(mm: channels.OperatorMultiMap, perm) -> channels.OperatorMult
     new_dims = [0] * mm.arity
     for pos, target in enumerate(perm):
         new_dims[target] = mm.input_operator_dims[pos]
-    p = linalg.factor_permutation(tuple(nd * nd for nd in new_dims), perm)
+    src = linalg.factor_permutation_index(tuple(nd * nd for nd in new_dims), perm)
     return channels.OperatorMultiMap(
-        tuple(new_dims), mm.output_operator_dim, mm.action_matrix @ p
+        tuple(new_dims), mm.output_operator_dim, mm.action_matrix[:, np.argsort(src)]
     )
 
 

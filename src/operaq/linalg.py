@@ -5,7 +5,13 @@ Conventions fixed here and used everywhere else:
   * inner products are linear in the first argument and conjugate-linear
     in the second, <x, y> = sum_i x_i conj(y_i);
   * numerical rank cutoffs default to 1e-9 relative to the largest
-    singular value.
+    singular value;
+  * factor permutations are index arrays, never dense matrices: a
+    permutation P is held as src with (P x)[i] = x[src[i]], so P @ A is
+    A[src] and A @ P is A[:, np.argsort(src)].  The dense builders
+    factor_permutation and mingle are kept only where the explicit matrix
+    is wanted (test oracles, demos, channels.choi_factor_bridge); no
+    computation multiplies by one.
 """
 
 from __future__ import annotations
@@ -123,15 +129,6 @@ def hermitianize(m, warn_tol: float = HERMITICITY_WARN) -> np.ndarray:
     return (m + dagger(m)) / 2
 
 
-def hermitian_eig(m):
-    """Eigenvalues (real, descending) and matching eigenvector columns of a
-    Hermitian matrix; the input is symmetrized first."""
-    h = hermitianize(m)
-    vals, vecs = npl.eigh(h)
-    order = np.argsort(vals)[::-1]
-    return vals[order].real, vecs[:, order]
-
-
 def gram_schmidt(vectors, rank_tol: float = RANK_TOL):
     """Orthonormalize, dropping vectors whose residual after projection is
     below rank_tol relative to the largest input norm."""
@@ -191,50 +188,58 @@ def op_norm(m) -> float:
     return float(npl.svd(m, compute_uv=False)[0])
 
 
-def factor_permutation(dims, perm) -> np.ndarray:
-    """Permutation matrix P with P(x_1 (x) ... (x) x_n) having old factor
-    perm[k] at new position k."""
+def factor_permutation_index(dims, perm) -> np.ndarray:
+    """Index array src of the factor permutation P, (P x)[i] = x[src[i]],
+    where P(x_1 (x) ... (x) x_n) has old factor perm[k] at new position k."""
     dims = [int(d) for d in dims]
     perm = [int(p) for p in perm]
     if sorted(perm) != list(range(len(dims))):
         raise DimensionMismatchError("not a permutation of the factors")
-    total = int(np.prod(dims))
-    src = np.arange(total).reshape(dims).transpose(perm).ravel()
-    p = np.zeros((total, total))
-    p[np.arange(total), src] = 1.0
-    return p
+    return np.arange(int(np.prod(dims))).reshape(dims).transpose(perm).ravel()
 
 
-def factor_permutation_superop(dims, perm) -> np.ndarray:
-    """The vec-side matrix of rho -> P rho P^T for the factor permutation."""
-    p = factor_permutation(dims, perm)
-    return np.kron(p, p)
+def superop_permutation_index(dims, perm) -> np.ndarray:
+    """Index array of kron(P, P), the vec-side map rho -> P rho P^T of the
+    factor permutation P."""
+    src = factor_permutation_index(dims, perm)
+    return (src[:, None] * src.size + src[None, :]).ravel()
 
 
-def mingle(dims) -> np.ndarray:
-    """Permutation sending vec(A_1) (x) ... (x) vec(A_n) to vec(A_1 (x) ... (x) A_n).
+def mingle_index(dims) -> np.ndarray:
+    """Index array of the permutation sending vec(A_1) (x) ... (x) vec(A_n)
+    to vec(A_1 (x) ... (x) A_n).
 
     The source index interleaves per-factor (column, row) axes; the target
     groups all column axes before all row axes.
     """
     dims = [int(d) for d in dims]
-    n = len(dims)
     total = int(np.prod(dims))
-    inter_shape = []
-    for d in dims:
-        inter_shape.extend([d, d])  # (col_i, row_i) per factor
-    axes = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-    src = np.arange(total * total).reshape(inter_shape).transpose(axes).ravel()
-    m = np.zeros((total * total, total * total))
-    m[np.arange(total * total), src] = 1.0
-    return m
+    inter_shape = [d for d in dims for _ in range(2)]  # (col_i, row_i) per factor
+    axes = list(range(0, 2 * len(dims), 2)) + list(range(1, 2 * len(dims), 2))
+    return np.arange(total * total).reshape(inter_shape).transpose(axes).ravel()
+
+
+def _permutation_matrix(src: np.ndarray) -> np.ndarray:
+    p = np.zeros((src.size, src.size))
+    p[np.arange(src.size), src] = 1.0
+    return p
+
+
+def factor_permutation(dims, perm) -> np.ndarray:
+    """Dense matrix of factor_permutation_index, for explicit-matrix use."""
+    return _permutation_matrix(factor_permutation_index(dims, perm))
+
+
+def mingle(dims) -> np.ndarray:
+    """Dense matrix of mingle_index, for explicit-matrix use."""
+    return _permutation_matrix(mingle_index(dims))
 
 
 def superop_kron(superops, dims_in, dims_out) -> np.ndarray:
     """Joint vec-side matrix of a tensor product of operator maps.
 
     superops[i] sends vec(M_{dims_in[i]}) to vec(M_{dims_out[i]}); the result
-    acts on vec of the joint operator space M_{prod dims_in}.
+    acts on vec of the joint operator space M_{prod dims_in}.  It equals
+    mingle(dims_out) @ kron_all(superops) @ mingle(dims_in).T.
     """
-    block = kron_all(superops)
-    return mingle(dims_out) @ block @ mingle(dims_in).T
+    return kron_all(superops)[np.ix_(mingle_index(dims_out), mingle_index(dims_in))]

@@ -74,9 +74,8 @@ class MonadElement:
     def __post_init__(self):
         cleaned = []
         for coeff, term, args in self.terms:
-            term = operad.canonical_form(term)
-            operad.validate_term(term)
-            labels = operad.leaf_labels(term)
+            # labels are read off the canonical form; sigma_act canonicalizes
+            labels = operad.validate_term(term)
             if len(args) != len(labels):
                 raise DimensionMismatchError(
                     f"term of arity {len(labels)} decorated with {len(args)} values"

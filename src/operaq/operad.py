@@ -116,33 +116,45 @@ def arity(t: OperadTerm) -> int:
     raise TypeError(f"not an operad term: {t!r}")
 
 
+def _labels(t: OperadTerm) -> list[int]:
+    """Leaf labels of a term already in canonical form, read left to right."""
+    if isinstance(t, Leaf):
+        return [t.slot]
+    return [lab for c in t.children for lab in _labels(c)]
+
+
 def leaf_labels(t: OperadTerm) -> list[int]:
     """Leaf labels of the canonical form, read left to right."""
-    t = canonical_form(t)
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            return [node.slot]
-        return [lab for c in node.children for lab in walk(c)]
-
-    return walk(t)
+    return _labels(canonical_form(t))
 
 
-def validate_term(t: OperadTerm) -> None:
-    labels = leaf_labels(t)
+def _check_labels(labels: list[int]) -> list[int]:
     if sorted(labels) != list(range(len(labels))):
         raise DimensionMismatchError(f"leaf labels {labels} are not a permutation of slots")
+    return labels
+
+
+def validate_term(t: OperadTerm) -> list[int]:
+    """Raise unless the leaf labels are a permutation of the slots; return
+    the labels, as leaf_labels does."""
+    return _check_labels(leaf_labels(t))
 
 
 def canonical_form(t: OperadTerm) -> OperadTerm:
     """Eliminate every Permuted node by composing its relabeling into the
     leaves."""
 
+    # subtrees that come out unchanged are returned as the same object, so
+    # an already canonical term is walked but not rebuilt
     def push(node, relab):
         if isinstance(node, Leaf):
-            return Leaf(relab.get(node.slot, node.slot))
+            slot = relab.get(node.slot, node.slot)
+            return node if slot == node.slot else Leaf(slot)
         if isinstance(node, Apply):
-            return Apply(node.symbol, tuple(push(c, relab) for c in node.children))
+            children = tuple(push(c, relab) for c in node.children)
+            if all(new is old for new, old in zip(children, node.children)):
+                return node
+            return Apply(node.symbol, children)
         if isinstance(node, Permuted):
             inner = {j: relab.get(p, p) for j, p in enumerate(node.perm)}
             return push(node.sub, inner)
@@ -173,16 +185,17 @@ def gamma(f: OperadTerm, parts) -> OperadTerm:
     shifting part labels by the arity offsets of the earlier parts."""
     f = canonical_form(f)
     parts = [canonical_form(p) for p in parts]
-    if len(parts) != arity(f):
-        raise DimensionMismatchError(f"term has arity {arity(f)}, got {len(parts)} parts")
-    validate_term(f)
+    f_labels = _labels(f)
+    if len(parts) != len(f_labels):
+        raise DimensionMismatchError(f"term has arity {len(f_labels)}, got {len(parts)} parts")
+    _check_labels(f_labels)
+    offsets = [0]
     for p in parts:
-        validate_term(p)
-    offsets = np.concatenate([[0], np.cumsum([arity(p) for p in parts])])[:-1]
+        offsets.append(offsets[-1] + len(_check_labels(_labels(p))))
 
     def graft(node):
         if isinstance(node, Leaf):
-            return _shift(parts[node.slot], int(offsets[node.slot]))
+            return _shift(parts[node.slot], offsets[node.slot])
         return Apply(node.symbol, tuple(graft(c) for c in node.children))
 
     return graft(f)
@@ -380,11 +393,9 @@ def interpret(interp: Interpretation, t: OperadTerm, leaf_dim: Optional[int] = N
     dims_by_label = [0] * len(labels)
     for pos, lab in enumerate(labels):
         dims_by_label[lab] = mm.input_operator_dims[pos]
-    perm = linalg.factor_permutation(
-        tuple(d * d for d in dims_by_label), tuple(labels)
-    )
+    src = linalg.factor_permutation_index(tuple(d * d for d in dims_by_label), labels)
     return channels.OperatorMultiMap(
-        tuple(dims_by_label), mm.output_operator_dim, mm.action_matrix @ perm
+        tuple(dims_by_label), mm.output_operator_dim, mm.action_matrix[:, np.argsort(src)]
     )
 
 
@@ -556,12 +567,12 @@ def interpret_circuit(interp: Interpretation, c: CircuitTerm, in_dims) -> WireMa
         new_order = [w for k in with_inputs for w in c.boxes[k].in_wires]
         passthrough = [w for w in live if w not in set(new_order)]
         perm = tuple(live.index(w) for w in new_order + passthrough)
-        p_super = linalg.factor_permutation_superop(tuple(dim[w] for w in live), perm)
+        p_src = linalg.superop_permutation_index(tuple(dim[w] for w in live), perm)
 
         # each box receives the grouped vectorization of its contiguous
         # input block; its action matrix expects slotwise vec factors
         superops = [
-            actions[k].action_matrix @ linalg.mingle(actions[k].input_operator_dims).T
+            actions[k].action_matrix[:, linalg.mingle_index(actions[k].input_operator_dims)]
             for k in with_inputs
         ]
         superops += [np.eye(dim[w] ** 2, dtype=complex) for w in passthrough]
@@ -572,9 +583,9 @@ def interpret_circuit(interp: Interpretation, c: CircuitTerm, in_dims) -> WireMa
         block_out += [dim[w] for w in passthrough]
         block_out += [actions[k].output_operator_dim for k in nullary]
 
-        total = linalg.superop_kron(superops, tuple(block_in), tuple(block_out)) @ p_super @ total
+        total = linalg.superop_kron(superops, tuple(block_in), tuple(block_out)) @ total[p_src]
         live = [c.n_in + k for k in with_inputs] + passthrough + [c.n_in + k for k in nullary]
 
     perm = tuple(live.index(w) for w in c.out_wires)
-    final = linalg.factor_permutation_superop(tuple(dim[w] for w in live), perm)
-    return WireMap(in_dims, tuple(dim[w] for w in c.out_wires), final @ total)
+    final = linalg.superop_permutation_index(tuple(dim[w] for w in live), perm)
+    return WireMap(in_dims, tuple(dim[w] for w in c.out_wires), total[final])

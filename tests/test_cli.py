@@ -414,3 +414,19 @@ def test_schema_violation_names_field(tmp_path):
     code, rep = invoke(tmp_path, "--command", "check-cp", "--in", path)
     assert code == 2
     assert "data" in rep["error"]
+
+
+def test_non_finite_entry_is_an_input_error(tmp_path):
+    obj = io.encode_channel(ch.identity_channel(2))
+    obj["data"]["data"][1] = [float("nan"), 0.0]
+    path = write(tmp_path, "nan.json", obj)
+    code, rep = invoke(tmp_path, "--command", "check-cp", "--in", path)
+    assert code == 2
+    assert "finite" in rep["error"]
+    assert "result" not in rep
+
+
+def test_broadcast_witness_dimension_one_is_an_input_error(tmp_path):
+    code, rep = invoke(tmp_path, "--command", "nogo-broadcast", "--seed", "0", "--tol", "d=1")
+    assert code == 2
+    assert "d >= 2" in rep["error"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operaq import channels as ch
 from operaq import ideals, linalg, operad, sampling
@@ -109,6 +110,41 @@ def test_sigma_multimap_permutes_slots_pointwise():
     lhs = ch.apply_ops(swapped, [y, x])
     rhs = ch.apply_ops(mm, [x, y])
     assert linalg.frobenius(lhs - rhs) < 1e-12
+
+
+def random_multimap(data):
+    arity = data.draw(st.integers(1, 3))
+    dims = tuple(data.draw(st.integers(1, 3)) for _ in range(arity))
+    out = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    cols = int(np.prod([d * d for d in dims]))
+    return ch.OperatorMultiMap(dims, out, sampling.ginibre(rng, out * out, cols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_grouped_channel_matches_dense_mingle(data):
+    mm = random_multimap(data)
+    din = int(np.prod(mm.input_operator_dims))
+    s = mm.action_matrix @ linalg.mingle(mm.input_operator_dims).T
+    dense = ch.superop_to_choi(s, din, mm.output_operator_dim)
+    got = ideals.grouped_channel(mm)
+    assert (got.in_dim, got.out_dim) == (din, mm.output_operator_dim)
+    assert np.allclose(got.choi, dense, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sigma_multimap_matches_dense_permutation(data):
+    mm = random_multimap(data)
+    perm = tuple(data.draw(st.permutations(range(mm.arity))))
+    new_dims = [0] * mm.arity
+    for pos, target in enumerate(perm):
+        new_dims[target] = mm.input_operator_dims[pos]
+    p = linalg.factor_permutation(tuple(nd * nd for nd in new_dims), perm)
+    got = ideals.sigma_multimap(mm, perm)
+    assert got.input_operator_dims == tuple(new_dims)
+    assert np.allclose(got.action_matrix, mm.action_matrix @ p, rtol=0, atol=1e-12)
 
 
 def test_closure_holds_on_random_cptp_pool():

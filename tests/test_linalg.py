@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from operaq import linalg
+from operaq import channels as ch
+from operaq import ideals, linalg, operad, sampling
 from operaq.errors import SingularMatrixError
 
 
@@ -134,3 +136,74 @@ def test_superop_kron_acts_factorwise():
     assert np.allclose(
         linalg.unvec(joint @ linalg.vec(x), 6, 6), big_k @ x @ big_k.conj().T, atol=1e-11
     )
+
+
+def draw_dims(data):
+    n = data.draw(st.integers(1, 3))
+    return tuple(data.draw(st.integers(1, 3)) for _ in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_factor_permutation_gathers_match_dense_oracle(data):
+    dims = draw_dims(data)
+    perm = tuple(data.draw(st.permutations(range(len(dims)))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    p = linalg.factor_permutation(dims, perm)
+    src = linalg.factor_permutation_index(dims, perm)
+    a = sampling.ginibre(rng, p.shape[0], p.shape[0])
+    assert np.allclose(a[src], p @ a, rtol=0, atol=1e-12)
+    assert np.allclose(a[:, np.argsort(src)], a @ p, rtol=0, atol=1e-12)
+    ksrc = linalg.superop_permutation_index(dims, perm)
+    b = sampling.ginibre(rng, p.size, 3)
+    assert np.allclose(b[ksrc], np.kron(p, p) @ b, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mingle_gathers_match_dense_oracle(data):
+    dims = draw_dims(data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    m = linalg.mingle(dims)
+    src = linalg.mingle_index(dims)
+    a = sampling.ginibre(rng, 3, m.shape[0])
+    assert np.allclose(a[:, src], a @ m.T, rtol=0, atol=1e-12)
+    assert np.allclose(a.T[src], m @ a.T, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_superop_kron_matches_dense_mingle_formula(data):
+    dims_in = draw_dims(data)
+    dims_out = tuple(data.draw(st.integers(1, 3)) for _ in dims_in)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    sup = [sampling.ginibre(rng, o * o, d * d) for d, o in zip(dims_in, dims_out)]
+    dense = linalg.mingle(dims_out) @ linalg.kron_all(sup) @ linalg.mingle(dims_in).T
+    got = linalg.superop_kron(sup, dims_in, dims_out)
+    assert np.allclose(got, dense, rtol=0, atol=1e-12)
+
+
+def test_library_paths_build_no_dense_permutation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense permutation matrix built on a library path")
+
+    monkeypatch.setattr(linalg, "factor_permutation", refuse)
+    monkeypatch.setattr(linalg, "mingle", refuse)
+    rng = np.random.default_rng(9)
+    f = operad.OperadSymbol("f", 2)
+    g = operad.OperadSymbol("g", 1)
+    spec = operad.OperadSpec((f, g))
+    pair = ch.OperatorMultiMap((2, 2), 2, sampling.ginibre(rng, 4, 16))
+    interp = operad.Interpretation(
+        spec, {"f": pair, "g": ch.channel_multimap(sampling.random_channel(rng, 2, 2))}
+    )
+    t = operad.Apply(f, (operad.Apply(g, (operad.Leaf(1),)), operad.Leaf(0)))
+    assert operad.interpret(interp, t).input_operator_dims == (2, 2)
+    circ = operad.CircuitTerm(
+        2, (operad.CircuitBox("g", (1,)), operad.CircuitBox("f", (2, 0))), (3,)
+    )
+    assert operad.interpret_circuit(interp, circ, (2, 2)).superop.shape == (4, 16)
+    assert ideals.grouped_channel(pair).in_dim == 4
+    assert ideals.sigma_multimap(pair, (1, 0)).input_operator_dims == (2, 2)
+    a, b = sampling.random_channel(rng, 2, 3), sampling.random_channel(rng, 3, 2)
+    assert ch.channel_kron(a, b).choi.shape == (36, 36)

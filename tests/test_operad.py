@@ -97,6 +97,28 @@ def test_interpret_orders_slots_by_label():
     assert np.allclose(ch.apply_ops(mm, [x0, x1]), expected, atol=1e-11)
 
 
+def contract(interp, node, xs):
+    if isinstance(node, op.Leaf):
+        return xs[node.slot]
+    args = [contract(interp, child, xs) for child in node.children]
+    return ch.apply_ops(interp.action(node.symbol.name), args)
+
+
+def test_interpret_arity_eight_left_comb():
+    rng = np.random.default_rng(12)
+    interp = qubit_interpretation(rng)
+    labels = [int(i) for i in rng.permutation(8)]
+    t = op.Leaf(labels[0])
+    for lab in labels[1:]:
+        t = op.Apply(F, (t, op.Leaf(lab)))
+    mm = op.interpret(interp, t)
+    assert mm.input_operator_dims == (2,) * 8
+    for _ in range(3):
+        xs = [sampling.ginibre(rng, 2, 2) for _ in range(8)]
+        want = contract(interp, t, xs)
+        assert np.max(np.abs(ch.apply_ops(mm, xs) - want)) <= 1e-10
+
+
 def test_interpret_respects_gamma():
     rng = np.random.default_rng(5)
     interp = qubit_interpretation(rng)
