@@ -2,11 +2,16 @@
 dilations, minimal dilations with intertwiners, and the tensor
 decomposition with its explicit n-adjoint.
 
-Two Choi layouts coexist and are bridged explicitly:
-  * channel Choi (n=1): C = sum_ij E_ij (x) Phi(E_ij), factors (input, output);
-  * multilinear Choi: sum over unit tuples of Phi(units) (x) units, factors
-    (output, input_1, ..., input_n).
-Superoperators act on column-stacked vectorizations throughout.
+Superoperators act on column-stacked vectorizations throughout, so the
+matrix unit E_kl of M_d has vec index l*d + k.  The Choi layout is the
+channel Choi C = sum_ij E_ij (x) Phi(E_ij), factors (input, output).
+multilinear_choi is a reshape of the action matrix with factors (output,
+input_1, ..., input_n); at n=1 it is the channel Choi with its two factors
+swapped.
+
+Every map here is built in closed form, as a reshape, a contraction or a
+Kraus sum.  multimap_from_function is the entry point for a map given as a
+callable; it sweeps matrix-unit tuples.
 """
 
 from __future__ import annotations
@@ -89,7 +94,8 @@ def identity_multimap(d: int) -> OperatorMultiMap:
 
 
 def transpose_multimap(d: int) -> OperatorMultiMap:
-    return multimap_from_function(lambda x: x.T, (d,), d)
+    swap = linalg.factor_permutation_index((d, d), (1, 0))
+    return OperatorMultiMap((d,), d, np.eye(d * d)[swap])
 
 
 def partial_evaluation(mm: OperatorMultiMap, slot: int, states) -> np.ndarray:
@@ -203,21 +209,18 @@ def channel_multimap(ch: QuantumChannel) -> OperatorMultiMap:
 def multilinear_choi(mm: OperatorMultiMap) -> np.ndarray:
     """sum over unit tuples of Phi(E_k1l1, ..., E_knln) (x) E_k1l1 (x) ...,
     with the output factor first.  For n=1 this is choi_of up to the factor
-    swap (output, input) <-> (input, output)."""
+    swap (output, input) <-> (input, output).
+
+    Entry ((k_0, k_1, ...), (l_0, l_1, ...)) is Phi(E_k1l1, ...)[k_0, l_0],
+    so the action matrix, split into (column, row) axes per factor, only
+    has its row axes moved in front."""
     dims = mm.input_operator_dims
     m = mm.output_operator_dim
     side = m * int(np.prod(dims))
-    total = np.zeros((side, side), dtype=complex)
-    sq = [d * d for d in dims]
-    for multi in np.ndindex(*sq) if dims else [()]:
-        units = [linalg.unvec(linalg.basis_vector(d * d, c), d) for d, c in zip(dims, multi)]
-        total += linalg.kron_all([apply_ops(mm, units)] + units)
-    return total
-
-
-def choi_factor_bridge(in_dim: int, out_dim: int) -> np.ndarray:
-    """Permutation P with multilinear_choi = P @ channel-choi @ P.T at n=1."""
-    return linalg.factor_permutation((in_dim, out_dim), (1, 0))
+    t = mm.action_matrix.reshape([m, m] + [d for d in dims for _ in range(2)])
+    rows = list(range(1, t.ndim, 2))
+    cols = list(range(0, t.ndim, 2))
+    return t.transpose(rows + cols).reshape(side, side)
 
 
 def choi_min_eigenvalue(ch: QuantumChannel) -> float:
@@ -229,9 +232,14 @@ def is_cp(ch: QuantumChannel, tol: float = 1e-10) -> bool:
     return choi_min_eigenvalue(ch) >= -tol
 
 
-def is_tp(ch: QuantumChannel, tol: float = 1e-10) -> bool:
+def tp_defect(ch: QuantumChannel) -> float:
+    """Largest entry of |Tr_out(C) - I|."""
     marginal = linalg.partial_trace(ch.choi, (ch.in_dim, ch.out_dim), 1)
-    return bool(np.max(np.abs(marginal - np.eye(ch.in_dim))) <= tol)
+    return float(np.max(np.abs(marginal - np.eye(ch.in_dim))))
+
+
+def is_tp(ch: QuantumChannel, tol: float = 1e-10) -> bool:
+    return tp_defect(ch) <= tol
 
 
 def _diagonal_state_pool(d: int):
@@ -341,13 +349,9 @@ def stinespring_from_kraus(ks: KrausSet) -> ChannelDilation:
 
 
 def channel_from_dilation(cd: ChannelDilation) -> QuantumChannel:
-    v = cd.isometry
-
-    def act(rho):
-        return linalg.partial_trace(v @ rho @ linalg.dagger(v), (cd.out_dim, cd.env_dim), 1)
-
-    mm = multimap_from_function(act, (cd.in_dim,), cd.out_dim)
-    return choi_of(mm)
+    # Kraus operators K_e = (I (x) <e|) V
+    v = cd.isometry.reshape(cd.out_dim, cd.env_dim, cd.in_dim)
+    return choi_of(KrausSet(tuple(v[:, e, :] for e in range(cd.env_dim))))
 
 
 @dataclass(frozen=True)
@@ -452,10 +456,24 @@ def dilation_reconstruct(dil: MultilinearDilation, inputs) -> np.ndarray:
     return linalg.dagger(dil.isometry) @ acc
 
 
+def _unit_chain(reps, start: np.ndarray) -> np.ndarray:
+    """pi_1(E_1) ... pi_n(E_n) @ start for every matrix-unit tuple, shape
+    (d_1^2, ..., d_n^2, carrier, cols); axis j runs over the vec index
+    l*d_j + k of E_kl."""
+    acc = start
+    for rep in reversed(reps):
+        d, c = rep.algebra_dim, rep.carrier_dim
+        units = rep.images.transpose(1, 0, 2, 3).reshape((d * d,) + (1,) * (acc.ndim - 2) + (c, c))
+        acc = units @ acc
+    return acc
+
+
 def dilation_multimap(dil: MultilinearDilation) -> OperatorMultiMap:
-    return multimap_from_function(
-        lambda *mats: dilation_reconstruct(dil, mats), dil.algebra_dims, dil.source_dim
-    )
+    m = dil.source_dim
+    values = linalg.dagger(dil.isometry) @ _unit_chain(dil.reps, dil.isometry)
+    # vec of each m x m value is its transpose read row-major
+    action = np.swapaxes(values, -1, -2).reshape(-1, m * m).T
+    return OperatorMultiMap(dil.algebra_dims, m, action)
 
 
 def heisenberg_dilation(ks: KrausSet) -> MultilinearDilation:
@@ -484,38 +502,36 @@ def pad_dilation(dil: MultilinearDilation, extra_dim: int) -> MultilinearDilatio
 
 def _generator_matrix(dil: MultilinearDilation) -> np.ndarray:
     """Columns (pi_1(E) ... pi_n(E)) V e_s over all matrix-unit tuples and
-    source basis vectors, in a fixed sweep order shared across dilations."""
-    dims = dil.algebra_dims
-    cols = []
-    sq = [d * d for d in dims]
-    for multi in np.ndindex(*sq) if dims else [()]:
-        acc = dil.isometry
-        for rep, c in reversed(list(zip(dil.reps, multi))):
-            unit = linalg.unvec(linalg.basis_vector(rep.algebra_dim**2, c), rep.algebra_dim)
-            acc = rep_apply(rep, unit) @ acc
-        for s in range(dil.source_dim):
-            cols.append(acc[:, s])
-    return np.column_stack(cols)
+    source basis vectors, tuple-major and source-minor."""
+    return np.moveaxis(_unit_chain(dil.reps, dil.isometry), -2, 0).reshape(dil.carrier_dim, -1)
 
 
-def minimal_dilation(dil: MultilinearDilation, rank_tol: float = 1e-9) -> MultilinearDilation:
+def minimal_dilation(dil: MultilinearDilation, rank_tol: float = linalg.RANK_TOL) -> MultilinearDilation:
     """Compress onto the span of all (pi_1(E)...pi_n(E)) V e_s.
 
     The span is invariant under every pi_j(E_kl) because matrix units
     multiply back into matrix units, so compression preserves the star
-    structure and the reconstruction identity.
+    structure and the reconstruction identity.  The span lies on the
+    carrier coordinates the generators touch.  When it fills them, those
+    coordinate vectors are its basis, so an already minimal dilation comes
+    back unchanged and a padded one loses exactly its padding; otherwise
+    the basis is the leading left singular vectors of the generator
+    matrix on them.  The rank is cut at rank_tol relative to the largest
+    singular value.
     """
     gens = _generator_matrix(dil)
-    basis = linalg.gram_schmidt([gens[:, i] for i in range(gens.shape[1])], rank_tol)
-    b = np.column_stack(basis) if basis else np.zeros((dil.carrier_dim, 0), dtype=complex)
+    support = np.flatnonzero(np.any(gens != 0, axis=1))
+    u, s, _ = npl.svd(gens[support], full_matrices=False)
+    rank = int(np.sum(s > rank_tol * s.max(initial=0.0)))
+    if rank == support.size:
+        u = np.eye(rank)
+    b = np.zeros((dil.carrier_dim, rank), dtype=complex)
+    b[support] = u[:, :rank]
     bh = linalg.dagger(b)
-    v_min = bh @ dil.isometry
-    reps = []
-    for rep in dil.reps:
-        d = rep.algebra_dim
-        images = np.einsum("xc,klcd,dy->klxy", bh, rep.images, b)
-        reps.append(StarRepresentation(d, b.shape[1], images))
-    return MultilinearDilation(tuple(reps), v_min, None)
+    reps = tuple(
+        StarRepresentation(rep.algebra_dim, rank, bh @ rep.images @ b) for rep in dil.reps
+    )
+    return MultilinearDilation(reps, bh @ dil.isometry, None)
 
 
 def intertwiner(d_min: MultilinearDilation, d_other: MultilinearDilation, tol: float = 1e-8):
@@ -575,26 +591,15 @@ class KrausTensorDecomposition:
 
 def kraus_tensor_decompose(dil: MultilinearDilation) -> KrausTensorDecomposition:
     dims = dil.algebra_dims
-    m = dil.source_dim
-    vh = linalg.dagger(dil.isometry)
-    lead, last = dims[:-1], dims[-1]
-    t_maps, l_maps = [], []
-    for alpha in range(dil.carrier_dim):
-        e_a = linalg.basis_vector(dil.carrier_dim, alpha)
-
-        def t_fn(*vecs, e_a=e_a):
-            acc = e_a
-            for rep, v in zip(reversed(dil.reps[:-1]), reversed(vecs)):
-                acc = rep_apply(rep, linalg.unvec(v, rep.algebra_dim)) @ acc
-            return vh @ acc
-
-        def l_fn(v, e_a=e_a):
-            x = linalg.unvec(v, last)
-            return np.conj(e_a) @ rep_apply(dil.reps[-1], x) @ dil.isometry
-
-        t_maps.append(ml.from_function(t_fn, tuple(d * d for d in lead), m))
-        l_maps.append(ml.from_function(l_fn, (last * last,), m))
-    return KrausTensorDecomposition(tuple(t_maps), tuple(l_maps), dims, m)
+    m, c = dil.source_dim, dil.carrier_dim
+    lead = tuple(d * d for d in dims[:-1])
+    # t[u, :, alpha] = V^dag (prod_{j<n} pi_j(units_u)) e_alpha
+    t = (linalg.dagger(dil.isometry) @ _unit_chain(dil.reps[:-1], np.eye(c))).reshape(-1, m, c)
+    # l[x, alpha, :] = e_alpha^dag pi_n(unit_x) V
+    l = _unit_chain(dil.reps[-1:], dil.isometry)
+    t_maps = tuple(ml.MultilinearVectorMap(lead, m, t[:, :, a].T) for a in range(c))
+    l_maps = tuple(ml.MultilinearVectorMap((dims[-1] ** 2,), m, l[:, a, :].T) for a in range(c))
+    return KrausTensorDecomposition(t_maps, l_maps, dims, m)
 
 
 def decomposition_apply(decomp: KrausTensorDecomposition, mats) -> np.ndarray:
@@ -620,18 +625,12 @@ def n_adjoint(decomp: KrausTensorDecomposition) -> OperatorMultiMap:
     """
     dims = decomp.input_operator_dims
     m = decomp.output_operator_dim
-    last = dims[-1]
-
-    def fn(g, *fs):
-        lead = [linalg.vec(x) for x in fs]
-        vals = np.zeros(last * last, dtype=complex)
-        gh = linalg.dagger(g)
-        for t_map, l_map in zip(decomp.t_maps, decomp.l_maps):
-            s = gh @ ml.apply(t_map, lead)
-            vals += s @ l_map.matrix
-        return np.conj(linalg.unvec(vals, last))
-
-    return multimap_from_function(fn, (m,) + dims[:-1], last)
+    t = np.stack([t_map.matrix for t_map in decomp.t_maps])
+    l = np.stack([l_map.matrix for l_map in decomp.l_maps])
+    # at G = E_ab, whose vec index is b*m + a, and lead units u the Riesz
+    # matrix has vec conj(sum_alpha T_alpha[a, u] L_alpha[b, :])
+    action = np.einsum("zau,zbx->xbau", t, l).reshape(dims[-1] ** 2, -1)
+    return OperatorMultiMap((m,) + dims[:-1], dims[-1], np.conj(action))
 
 
 def n_adjoint_apply(adj: OperatorMultiMap, g_riesz, f_riesz) -> np.ndarray:
@@ -785,7 +784,8 @@ def identity_channel(d: int) -> QuantumChannel:
 
 
 def depolarizing_channel(d: int, p: float) -> QuantumChannel:
-    def act(rho):
-        return (1 - p) * rho + p * np.trace(rho) * np.eye(d) / d
-
-    return choi_of(multimap_from_function(act, (d,), d))
+    """rho -> (1 - p) rho + p tr(rho) I/d, whose superoperator is
+    (1 - p) I + (p/d) vec(I) vec(I)^T."""
+    vec_eye = linalg.vec(np.eye(d))
+    s = (1 - p) * np.eye(d * d) + (p / d) * np.outer(vec_eye, vec_eye)
+    return choi_of(OperatorMultiMap((d,), d, s))

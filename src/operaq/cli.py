@@ -97,8 +97,7 @@ def cmd_check_cp(objs, paths, tol, seed):
 
 def cmd_check_tp(objs, paths, tol, seed):
     ch = _as_channel(objs[0], paths[0])
-    marginal = linalg.partial_trace(ch.choi, (ch.in_dim, ch.out_dim), 1)
-    defect = float(np.max(np.abs(marginal - np.eye(ch.in_dim))))
+    defect = channels.tp_defect(ch)
     tp = bool(defect <= tol["tp"])
     return {"tp": tp, "defect": defect}, tp
 
@@ -198,7 +197,7 @@ def cmd_feedback(objs, paths, tol, seed):
 def cmd_term_eval(objs, paths, tol, seed):
     interp, term = _interp_and_term(objs, paths)
     root = operad.canonical_form(term)
-    leaf_dim = monad._carrier_dim(interp) if isinstance(root, operad.Leaf) else None
+    leaf_dim = interp.carrier() if isinstance(root, operad.Leaf) else None
     mm = operad.interpret(interp, term, leaf_dim=leaf_dim)
     return {"multimap": io.encode_multimap(mm)}, True
 

@@ -302,7 +302,7 @@ def quotient(t, spec: IdealSpec, interp: operad.Interpretation, leaf_dim: Option
     the parent.  Formal generators collapse outright.  The result is again
     an operad term and the collapse is idempotent."""
     if leaf_dim is None:
-        leaf_dim = _carrier(interp)
+        leaf_dim = interp.carrier()
     t = operad.canonical_form(t)
     operad.validate_term(t)
 
@@ -351,18 +351,6 @@ def adjoin_formal(spec: operad.OperadSpec, gen: FormalGenerator) -> operad.Opera
     return operad.OperadSpec(spec.symbols + (sym,))
 
 
-def _carrier(interp: operad.Interpretation) -> int:
-    if interp.carrier_dim is not None:
-        return interp.carrier_dim
-    if "id" in interp.assign:
-        return interp.assign["id"].output_operator_dim
-    for mm in interp.assign.values():
-        return mm.output_operator_dim
-    raise DimensionMismatchError(
-        "cannot infer a carrier dimension from an empty interpretation"
-    )
-
-
 # ---------------------------------------------------------------------------
 # no-go witnesses
 
@@ -397,13 +385,12 @@ def broadcast_frame(d: int):
 
 
 def _ptrace_superops(d: int):
-    t1 = channels.multimap_from_function(
-        lambda x: linalg.partial_trace(x, (d, d), 0), (d * d,), d
-    ).action_matrix
-    t2 = channels.multimap_from_function(
-        lambda x: linalg.partial_trace(x, (d, d), 1), (d * d,), d
-    ).action_matrix
-    return t1, t2
+    """Superoperators of the partial traces over the first and the second
+    factor of C^d (x) C^d, as Kraus sums over <i| (x) I and I (x) <i|."""
+    eye = np.eye(d)
+    t1 = channels.KrausSet(tuple(np.kron(eye[i : i + 1], eye) for i in range(d)))
+    t2 = channels.KrausSet(tuple(np.kron(eye, eye[i : i + 1]) for i in range(d)))
+    return channels.kraus_to_superop(t1), channels.kraus_to_superop(t2)
 
 
 def _witness_rows(states, d: int):

@@ -10,8 +10,7 @@ Conventions fixed here and used everywhere else:
     permutation P is held as src with (P x)[i] = x[src[i]], so P @ A is
     A[src] and A @ P is A[:, np.argsort(src)].  The dense builders
     factor_permutation and mingle are kept only where the explicit matrix
-    is wanted (test oracles, demos, channels.choi_factor_bridge); no
-    computation multiplies by one.
+    is wanted (test oracles, demos); no computation multiplies by one.
 """
 
 from __future__ import annotations
@@ -127,29 +126,6 @@ def hermitianize(m, warn_tol: float = HERMITICITY_WARN) -> np.ndarray:
     if asym > warn_tol * max(1.0, npl.norm(m)):
         warnings.warn(f"symmetrizing matrix with hermiticity defect {asym:.3e}")
     return (m + dagger(m)) / 2
-
-
-def gram_schmidt(vectors, rank_tol: float = RANK_TOL):
-    """Orthonormalize, dropping vectors whose residual after projection is
-    below rank_tol relative to the largest input norm."""
-    vecs = [as_vector(v) for v in vectors]
-    if not vecs:
-        return []
-    scale = max(npl.norm(v) for v in vecs)
-    if scale == 0.0:
-        return []
-    basis: list[np.ndarray] = []
-    for v in vecs:
-        w = v.copy()
-        for b in basis:
-            w = w - np.dot(b.conj(), w) * b
-        # re-orthogonalize once; classical GS alone loses orthogonality
-        for b in basis:
-            w = w - np.dot(b.conj(), w) * b
-        nw = npl.norm(w)
-        if nw > rank_tol * scale:
-            basis.append(w / nw)
-    return basis
 
 
 def solve_linear(a, b, least_squares: bool = False) -> np.ndarray:

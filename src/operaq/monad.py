@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.linalg as npl
 
 from . import channels, linalg, operad
 from .errors import (
@@ -244,20 +245,8 @@ class AlgebraMap:
         return self.carrier_dim if self.post_dim is None else self.post_dim
 
 
-def _carrier_dim(interp: operad.Interpretation) -> int:
-    if interp.carrier_dim is not None:
-        return interp.carrier_dim
-    if "id" in interp.assign:
-        return interp.assign["id"].output_operator_dim
-    for mm in interp.assign.values():
-        return mm.output_operator_dim
-    raise DimensionMismatchError(
-        "cannot infer a carrier dimension from an empty interpretation"
-    )
-
-
 def algebra_from_interpretation(interp: operad.Interpretation) -> AlgebraMap:
-    return AlgebraMap(interp, _carrier_dim(interp))
+    return AlgebraMap(interp, interp.carrier())
 
 
 def algebra_eval(alg: AlgebraMap, x: MonadElement) -> np.ndarray:
@@ -353,7 +342,7 @@ def representation_of(
     Composing with anything other than the identity gives up the unit law
     on purpose; what remains is exactly the evaluation data compared by
     operational_equivalence."""
-    d = _carrier_dim(interp)
+    d = interp.carrier()
     if phi.in_dim != d:
         raise DimensionMismatchError(
             f"channel input dim {phi.in_dim} does not match the carrier dim {d}"
@@ -469,25 +458,24 @@ def stinespring_circuit(phi: channels.QuantumChannel):
     for a in range(m):
         for alpha in range(r):
             v_pad[a * env + alpha, :] = ks.operators[alpha][a, :]
-    # complete the isometry columns to a unitary; the input state sits on
-    # ancilla level 0, so column i*anc carries V e_i
-    basis = linalg.gram_schmidt(list(v_pad.T) + list(np.eye(big)))
+    # complete the isometry columns to a unitary: the input state sits on
+    # ancilla level 0, so column i*anc carries V e_i, and the trailing left
+    # singular vectors of V span the complement of its range
     u = np.zeros((big, big), dtype=complex)
-    for i in range(n):
-        u[:, i * anc] = v_pad[:, i]
-    rest = [j for j in range(big) if j % anc != 0]
-    for k, j in enumerate(rest):
-        u[:, j] = basis[n + k]
-    e00 = np.zeros((anc, anc), dtype=complex)
-    e00[0, 0] = 1.0
+    u[:, ::anc] = v_pad
+    u[:, np.arange(big) % anc != 0] = npl.svd(v_pad)[0][:, n:]
+    joint = channels.kraus_to_superop(channels.KrausSet((u,)))
+    trace_env = channels.KrausSet(
+        tuple(np.kron(np.eye(m), np.eye(env)[e : e + 1]) for e in range(env))
+    )
     boxes = {
-        "prep_env": channels.multimap_from_function(lambda: e00, (), anc),
-        "joint_unitary": channels.multimap_from_function(
-            lambda a, b: u @ linalg.kron(a, b) @ linalg.dagger(u), (n, anc), big
+        "prep_env": channels.OperatorMultiMap(
+            (), anc, linalg.vec(linalg.matrix_unit(anc, 0, 0)).reshape(-1, 1)
         ),
-        "trace_env": channels.multimap_from_function(
-            lambda x: linalg.partial_trace(x, (m, env), 1), (big,), m
+        "joint_unitary": channels.OperatorMultiMap(
+            (n, anc), big, joint[:, np.argsort(linalg.mingle_index((n, anc)))]
         ),
+        "trace_env": channels.OperatorMultiMap((big,), m, channels.kraus_to_superop(trace_env)),
     }
     circuit = operad.CircuitTerm(
         1,
@@ -542,7 +530,7 @@ def monoidal_compat_check(
         i_1 = i_2 = interp
     else:
         i_1, i_2 = interp
-    d_1, d_2 = _carrier_dim(i_1), _carrier_dim(i_2)
+    d_1, d_2 = i_1.carrier(), i_2.carrier()
     if phi_1.in_dim != d_1 or phi_2.in_dim != d_2:
         raise DimensionMismatchError(
             "channel inputs must match the interpretation carriers"

@@ -355,6 +355,19 @@ class Interpretation:
             raise UnassignedSymbolError(f"no action assigned for symbol {name}")
         return self.assign[name]
 
+    def carrier(self) -> int:
+        """The carrier dimension: the declared one, else the output dimension
+        of the id action, else that of the first assigned action."""
+        if self.carrier_dim is not None:
+            return self.carrier_dim
+        if "id" in self.assign:
+            return self.assign["id"].output_operator_dim
+        for mm in self.assign.values():
+            return mm.output_operator_dim
+        raise DimensionMismatchError(
+            "cannot infer a carrier dimension from an empty interpretation"
+        )
+
 
 def _compose_multimaps(base, children):
     block = linalg.kron_all([c.action_matrix for c in children]) if children else np.eye(1)

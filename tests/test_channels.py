@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operaq import channels as ch
-from operaq import linalg, sampling
+from operaq import ideals, linalg, monad, sampling
+from operaq import multilinear as ml
 from operaq.errors import (
     DimensionMismatchError,
     InconsistentDilationsError,
@@ -103,7 +105,7 @@ def test_multilinear_choi_bridges_to_channel_choi():
     rng = np.random.default_rng(4)
     ks = sampling.random_cptp(rng, 2, 3)
     mm = ch.channel_multimap(ch.choi_of(ks))
-    p = ch.choi_factor_bridge(2, 3)
+    p = linalg.factor_permutation((2, 3), (1, 0))
     assert np.allclose(ch.multilinear_choi(mm), p @ ch.choi_of(ks).choi @ p.T, atol=1e-11)
 
 
@@ -214,6 +216,15 @@ def test_minimal_dilation_preserves_star_structure():
         assert defects["multiplicativity"] < 1e-9
         assert defects["star"] < 1e-9
         assert defects["unitality"] < 1e-9
+
+
+def test_minimal_dilation_keeps_the_coordinates_it_fills():
+    rng = np.random.default_rng(25)
+    dil = ch.heisenberg_dilation(sampling.random_cptp(rng, 3, 2, 2))
+    for source in (dil, ch.pad_dilation(dil, 3)):
+        small = ch.minimal_dilation(source)
+        assert np.array_equal(small.isometry, dil.isometry)
+        assert np.array_equal(small.reps[0].images, dil.reps[0].images)
 
 
 def test_intertwiner_identity_case():
@@ -360,3 +371,165 @@ def test_channel_kron_acts_factorwise():
     lhs = ch.channel_apply(joint, linalg.kron(r1, r2))
     rhs = linalg.kron(ch.channel_apply(a, r1), ch.channel_apply(b, r2))
     assert np.allclose(lhs, rhs, atol=1e-11)
+
+
+def rotated(dil, w):
+    """The same dilation seen through the carrier unitary w."""
+    reps = tuple(
+        ch.StarRepresentation(r.algebra_dim, r.carrier_dim, w @ r.images @ linalg.dagger(w))
+        for r in dil.reps
+    )
+    return ch.MultilinearDilation(reps, w @ dil.isometry)
+
+
+def draw_dilation(data, rng):
+    """Separable dilation on 1-3 slots with d <= 3, turned by a random
+    carrier unitary so that its representations are dense."""
+    n = data.draw(st.integers(1, 3))
+    dims = tuple(data.draw(st.integers(1, 3)) for _ in range(n))
+    mult = tuple(data.draw(st.integers(1, 2 if n < 3 else 1)) for _ in range(n))
+    carrier = int(np.prod([d * r for d, r in zip(dims, mult)]))
+    source = data.draw(st.integers(1, min(carrier, 3)))
+    dil = sampling.random_separable_dilation(rng, dims, source, mult)
+    return rotated(dil, sampling.random_unitary(rng, carrier))
+
+
+def unit_matrices(dims, multi):
+    return [linalg.unvec(linalg.basis_vector(d * d, c), d) for d, c in zip(dims, multi)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dilation_closed_forms_match_callable_sweeps(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dil = draw_dilation(data, rng)
+    dims, m, c = dil.algebra_dims, dil.source_dim, dil.carrier_dim
+    vh = linalg.dagger(dil.isometry)
+
+    sweep = ch.multimap_from_function(lambda *mats: ch.dilation_reconstruct(dil, mats), dims, m)
+    assert np.allclose(ch.dilation_multimap(dil).action_matrix, sweep.action_matrix, rtol=0, atol=1e-10)
+
+    decomp = ch.kraus_tensor_decompose(dil)
+    assert len(decomp.t_maps) == len(decomp.l_maps) == c
+    for alpha, (t_map, l_map) in enumerate(zip(decomp.t_maps, decomp.l_maps)):
+        e_a = linalg.basis_vector(c, alpha)
+
+        def t_fn(*vecs):
+            acc = e_a
+            for rep, v in zip(reversed(dil.reps[:-1]), reversed(vecs)):
+                acc = ch.rep_apply(rep, linalg.unvec(v, rep.algebra_dim)) @ acc
+            return vh @ acc
+
+        def l_fn(v):
+            return e_a @ ch.rep_apply(dil.reps[-1], linalg.unvec(v, dims[-1])) @ dil.isometry
+
+        t_old = ml.from_function(t_fn, tuple(d * d for d in dims[:-1]), m)
+        l_old = ml.from_function(l_fn, (dims[-1] ** 2,), m)
+        assert np.allclose(t_map.matrix, t_old.matrix, rtol=0, atol=1e-10)
+        assert np.allclose(l_map.matrix, l_old.matrix, rtol=0, atol=1e-10)
+
+    def adjoint_fn(g, *fs):
+        lead = [linalg.vec(x) for x in fs]
+        vals = sum(
+            (linalg.dagger(g) @ ml.apply(t_map, lead)) @ l_map.matrix
+            for t_map, l_map in zip(decomp.t_maps, decomp.l_maps)
+        )
+        return np.conj(linalg.unvec(vals, dims[-1]))
+
+    adj_old = ch.multimap_from_function(adjoint_fn, (m,) + dims[:-1], dims[-1])
+    adj = ch.n_adjoint(decomp)
+    assert adj.input_operator_dims == adj_old.input_operator_dims
+    assert np.allclose(adj.action_matrix, adj_old.action_matrix, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_minimal_carrier_is_generator_rank(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dil = draw_dilation(data, rng)
+    padded = ch.pad_dilation(dil, data.draw(st.integers(1, 3)))
+    padded = rotated(padded, sampling.random_unitary(rng, padded.carrier_dim))
+    # generator columns pi_1(E) ... pi_n(E) V e_s, tuple-major and source-minor
+    sq = [d * d for d in padded.algebra_dims]
+    cols = []
+    for multi in np.ndindex(*sq):
+        acc = padded.isometry
+        for rep, unit in reversed(list(zip(padded.reps, unit_matrices(padded.algebra_dims, multi)))):
+            acc = ch.rep_apply(rep, unit) @ acc
+        cols.extend(acc.T)
+    gens = np.column_stack(cols)
+    assert np.allclose(ch._generator_matrix(padded), gens, rtol=0, atol=1e-10)
+    small = ch.minimal_dilation(padded)
+    assert small.carrier_dim == np.linalg.matrix_rank(gens)
+    assert np.allclose(
+        ch.dilation_multimap(small).action_matrix,
+        ch.dilation_multimap(dil).action_matrix,
+        rtol=0,
+        atol=1e-10,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_multilinear_choi_matches_unit_sweep(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dims = tuple(data.draw(st.integers(1, 3)) for _ in range(data.draw(st.integers(0, 3))))
+    m = data.draw(st.integers(1, 3))
+    cols = int(np.prod([d * d for d in dims]))
+    mm = ch.OperatorMultiMap(dims, m, sampling.ginibre(rng, m * m, cols))
+    side = m * int(np.prod(dims))
+    total = np.zeros((side, side), dtype=complex)
+    for multi in np.ndindex(*[d * d for d in dims]):
+        units = unit_matrices(dims, multi)
+        total += linalg.kron_all([ch.apply_ops(mm, units)] + units)
+    assert np.allclose(ch.multilinear_choi(mm), total, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_one_slot_closed_forms_match_callable_sweeps(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    d = data.draw(st.integers(1, 3))
+    p = data.draw(st.floats(0.0, 1.0))
+
+    def dep(rho):
+        return (1 - p) * rho + p * np.trace(rho) * np.eye(d) / d
+
+    old_dep = ch.choi_of(ch.multimap_from_function(dep, (d,), d))
+    assert np.allclose(ch.depolarizing_channel(d, p).choi, old_dep.choi, rtol=0, atol=1e-10)
+    old_t = ch.multimap_from_function(lambda x: x.T, (d,), d)
+    assert np.allclose(ch.transpose_multimap(d).action_matrix, old_t.action_matrix, rtol=0, atol=1e-10)
+
+    out = data.draw(st.integers(1, 3))
+    cd = ch.stinespring_from_kraus(sampling.random_cptp(rng, d, out, data.draw(st.integers(1, 3))))
+
+    def act(rho):
+        v = cd.isometry
+        return linalg.partial_trace(v @ rho @ linalg.dagger(v), (cd.out_dim, cd.env_dim), 1)
+
+    old_ch = ch.choi_of(ch.multimap_from_function(act, (d,), out))
+    assert np.allclose(ch.channel_from_dilation(cd).choi, old_ch.choi, rtol=0, atol=1e-10)
+
+
+def test_closed_forms_sweep_no_callable(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library path swept a callable over basis tuples")
+
+    monkeypatch.setattr(ch, "multimap_from_function", refuse)
+    monkeypatch.setattr(ml, "from_function", refuse)
+    rng = np.random.default_rng(24)
+    dil = sampling.random_separable_dilation(rng, (2, 2, 2), 3, (1, 2, 1))
+    assert ch.dilation_multimap(dil).input_operator_dims == (2, 2, 2)
+    decomp = ch.kraus_tensor_decompose(dil)
+    assert ch.n_adjoint(decomp).input_operator_dims == (3, 2, 2)
+    small = ch.minimal_dilation(ch.pad_dilation(dil, 2))
+    assert ch.intertwiner(small, dil)[1]["isometry_defect"] < 1e-8
+    assert ch.multilinear_choi(ch.dilation_multimap(dil)).shape == (24, 24)
+    ks = sampling.random_cptp(rng, 2, 3, 2)
+    assert ch.channel_from_dilation(ch.stinespring_from_kraus(ks)).out_dim == 3
+    assert ch.transpose_multimap(3).input_operator_dims == (3,)
+    assert ch.is_tp(ch.depolarizing_channel(3, 0.4))
+    assert ideals._ptrace_superops(2)[0].shape == (4, 16)
+    circuit, boxes = monad.stinespring_circuit(sampling.random_channel(rng, 2, 2, 2))
+    assert sorted(boxes) == ["joint_unitary", "prep_env", "trace_env"]
+    assert ideals.broadcast_witness(2)["d"] == 2

@@ -73,6 +73,7 @@ def test_check_tp_catches_subnormalized_map(tmp_path):
     code, rep = invoke(tmp_path, "--command", "check-tp", "--in", path)
     assert code == 1
     assert rep["result"]["defect"] == pytest.approx(0.5, abs=1e-12)
+    assert rep["result"]["defect"] == ch.tp_defect(ch.choi_of(mm))
 
 
 def test_choi_and_kraus_roundtrip(tmp_path):

@@ -147,6 +147,15 @@ def test_sigma_multimap_matches_dense_permutation(data):
     assert np.allclose(got.action_matrix, mm.action_matrix @ p, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 4))
+def test_ptrace_superops_match_callable_sweeps(d):
+    t1, t2 = ideals._ptrace_superops(d)
+    first = ch.multimap_from_function(lambda x: linalg.partial_trace(x, (d, d), 0), (d * d,), d)
+    assert np.allclose(t1, first.action_matrix, rtol=0, atol=1e-10)
+    assert np.allclose(t2, trace_out_second(d).action_matrix, rtol=0, atol=1e-10)
+
+
 def test_closure_holds_on_random_cptp_pool():
     rng = np.random.default_rng(11)
     pool = [sampling.random_cptp(rng, 2, 2) for _ in range(6)]

@@ -60,26 +60,6 @@ def test_hermitianize_warns_on_asymmetry():
     assert np.allclose(sym, sym.conj().T)
 
 
-def test_gram_schmidt_orthonormal_and_rank():
-    rng = np.random.default_rng(4)
-    v1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    basis = linalg.gram_schmidt([v1, 2 * v1, v2, v1 + v2])
-    assert len(basis) == 2
-    g = np.array([[linalg.inner(a, b) for b in basis] for a in basis])
-    assert np.allclose(g, np.eye(2), atol=1e-12)
-
-
-def test_gram_schmidt_keeps_span():
-    rng = np.random.default_rng(5)
-    vs = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(3)]
-    basis = linalg.gram_schmidt(vs)
-    b = np.column_stack(basis)
-    for v in vs:
-        proj = b @ (b.conj().T @ v)
-        assert np.allclose(proj, v, atol=1e-10)
-
-
 def test_solve_linear_exact_and_singular():
     a = np.array([[2.0, 0.0], [0.0, 4.0]])
     x = linalg.solve_linear(a, np.array([2.0, 8.0]))

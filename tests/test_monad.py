@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operaq import channels as ch
-from operaq import linalg, monad, operad as op
+from operaq import ideals, linalg, monad, operad as op
 from operaq import sampling
 from operaq.errors import DimensionMismatchError, NotCompletelyPositiveError
 
@@ -306,6 +307,36 @@ def test_stinespring_circuit_random_roundtrip():
         circuit, boxes = monad.stinespring_circuit(phi)
         realized = monad.circuit_channel(circuit, boxes, in_dim)
         assert ch.channel_distance_bound(realized, phi) <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_stinespring_circuit_boxes_match_callable_sweeps(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    phi = sampling.random_channel(rng, n, m, data.draw(st.integers(1, 3)))
+    circuit, boxes = monad.stinespring_circuit(phi)
+    anc = boxes["prep_env"].output_operator_dim
+    big = n * anc
+    env = big // m
+    # the joint box is X -> u X u^dag, so its single Kraus operator is u up to a phase
+    u = ch.kraus_from_choi(ideals.grouped_channel(boxes["joint_unitary"])).operators[0]
+    assert np.allclose(u.conj().T @ u, np.eye(big), rtol=0, atol=1e-10)
+    e00 = linalg.matrix_unit(anc, 0, 0)
+    old = {
+        "prep_env": ch.multimap_from_function(lambda: e00, (), anc),
+        "joint_unitary": ch.multimap_from_function(
+            lambda a, b: u @ linalg.kron(a, b) @ linalg.dagger(u), (n, anc), big
+        ),
+        "trace_env": ch.multimap_from_function(
+            lambda x: linalg.partial_trace(x, (m, env), 1), (big,), m
+        ),
+    }
+    for name, mm in old.items():
+        assert boxes[name].input_operator_dims == mm.input_operator_dims
+        assert np.allclose(boxes[name].action_matrix, mm.action_matrix, rtol=0, atol=1e-10)
+    realized = monad.circuit_channel(circuit, boxes, n)
+    assert ch.channel_distance_bound(realized, phi) <= 1e-9
 
 
 def test_stinespring_circuit_rejects_bad_maps():
