@@ -289,22 +289,27 @@ def mcp_check(mm: OperatorMultiMap, sample_count: int = 5, seed: int = 0, tol: f
     return {"passed": not violations, "cases": cases, "violations": violations}
 
 
-def kraus_from_choi(ch: QuantumChannel, rank_tol: float = 1e-10) -> KrausSet:
+def _choi_spectrum(ch: QuantumChannel, rank_tol: float = 1e-10):
+    """One eigh of the Choi matrix's Hermitian part, for a CP check and the
+    Kraus operators alike: the ascending spectrum, and sqrt(lam) w for each
+    eigenvalue above rank_tol * max(1, largest)."""
     herm = (ch.choi + linalg.dagger(ch.choi)) / 2
     vals, vecs = npl.eigh(herm)
     cut = rank_tol * max(1.0, float(vals[-1]))
-    if vals[0] < -cut:
+    d, m = ch.in_dim, ch.out_dim
+    ops = [np.sqrt(lam) * w.reshape(d, m).T for lam, w in zip(vals, vecs.T) if lam > cut]
+    if not ops:
+        ops.append(np.zeros((m, d), dtype=complex))
+    return vals, KrausSet(tuple(ops))
+
+
+def kraus_from_choi(ch: QuantumChannel, rank_tol: float = 1e-10) -> KrausSet:
+    vals, ks = _choi_spectrum(ch, rank_tol)
+    if vals[0] < -rank_tol * max(1.0, float(vals[-1])):
         raise NotCompletelyPositiveError(
             f"Choi matrix has eigenvalue {vals[0]:.3e}", min_eigenvalue=float(vals[0])
         )
-    ops = []
-    d, m = ch.in_dim, ch.out_dim
-    for lam, w in zip(vals, vecs.T):
-        if lam > cut:
-            ops.append(np.sqrt(lam) * w.reshape(d, m).T)
-    if not ops:
-        ops.append(np.zeros((m, d), dtype=complex))
-    return KrausSet(tuple(ops))
+    return ks
 
 
 def kraus_rank(ch: QuantumChannel, rank_tol: float = 1e-10) -> int:

@@ -29,6 +29,8 @@ from .errors import (
 
 LOG = logging.getLogger("operaq")
 
+COUNTS = frozenset({"trials", "d", "samples", "steps", "dim"})  # non-negative integers
+
 # commands that draw random samples; these refuse to run without --seed
 SEEDED = frozenset(
     {
@@ -440,9 +442,14 @@ def _parse_tols(spec: CommandSpec, pairs) -> dict:
             known = ", ".join(sorted(tols)) or "none"
             raise SchemaError(f"unknown tolerance {key!r} (known: {known})")
         try:
-            tols[key] = float(raw)
+            value = float(raw)
         except ValueError:
             raise SchemaError(f"tolerance {key!r} has non-numeric value {raw!r}") from None
+        if not np.isfinite(value):
+            raise SchemaError(f"tolerance {key!r} has non-finite value {raw!r}")
+        if key in COUNTS and (value < 0 or value != int(value)):
+            raise SchemaError(f"tolerance {key!r} needs a non-negative integer, got {raw!r}")
+        tols[key] = value
     return tols
 
 

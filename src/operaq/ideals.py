@@ -4,10 +4,10 @@ Membership is predicate or certificate based and closure is verified by
 sampling compositions, never proved; every report says so.  Quotient terms
 are ordinary terms in which collapsed subtrees appear as per-signature
 formal "bottom" symbols, so the whole operad toolbox keeps working on them.
-The broadcast witness assembles the pure-state constraint system for a
-linear broadcaster, including the cloning value rows, and reports the least
-squares residual; a residual bounded away from zero is the numerical
-content of the no-go statement at that dimension.
+The broadcast witness solves the pure-state constraint system for a linear
+broadcaster, cloning value rows included, by its Kronecker structure and
+reports the least squares residual; a residual bounded away from zero is
+the numerical content of the no-go statement at that dimension.
 """
 
 from __future__ import annotations
@@ -105,14 +105,14 @@ def is_member(spec: IdealSpec, op, tol: float = 1e-9) -> dict:
     """Predicate verdict with evidence; the domain is CP operations."""
     mm = _as_multimap(op)
     chan = grouped_channel(mm)
-    bad = channels.choi_min_eigenvalue(chan)
+    vals, ks = channels._choi_spectrum(chan)
+    bad = float(vals[0])
     if bad < -1e-10:
         raise NotCompletelyPositiveError(
             "membership predicates are defined on completely positive maps",
             min_eigenvalue=bad,
         )
     if spec.predicate == "non-isometric":
-        ks = channels.kraus_from_choi(chan)
         rank = len(ks.operators)
         defect = None
         if rank == 1:
@@ -359,23 +359,11 @@ def broadcast_frame(d: int):
     """Deterministic spanning family of pure-state projectors: the basis
     states, real and imaginary two-level superpositions, and two dense
     vectors with distinct phase profiles."""
-    vectors = []
-    for i in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[i] = 1.0
-        vectors.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros(d, dtype=complex)
-            e[i] = 1.0
-            e[j] = 1.0
-            vectors.append(e / np.sqrt(2))
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros(d, dtype=complex)
-            e[i] = 1.0
-            e[j] = 1.0j
-            vectors.append(e / np.sqrt(2))
+    eye = np.eye(d, dtype=complex)
+    pairs = list(itertools.combinations(range(d), 2))
+    vectors = list(eye)
+    vectors += [(eye[i] + eye[j]) / np.sqrt(2) for i, j in pairs]
+    vectors += [(eye[i] + 1j * eye[j]) / np.sqrt(2) for i, j in pairs]
     v1 = np.arange(1, d + 1).astype(complex)
     vectors.append(v1 / npl.norm(v1))
     w = np.exp(2j * np.pi / (d + 1))
@@ -393,22 +381,12 @@ def _ptrace_superops(d: int):
     return channels.kraus_to_superop(t1), channels.kraus_to_superop(t2)
 
 
-def _witness_rows(states, d: int):
-    t1, t2 = _ptrace_superops(d)
-    big = d ** 4
-    eye_big = np.eye(big, dtype=complex)
-    rows = []
-    rhs = []
-    for p in states:
-        vp = linalg.vec(p)
-        # value rows L(P) = P (x) P, then both marginal rows Tr_k(L(P)) = P
-        rows.append(np.kron(vp.reshape(1, -1), eye_big))
-        rhs.append(linalg.vec(np.kron(p, p)))
-        rows.append(np.kron(vp.reshape(1, -1), t1))
-        rhs.append(vp)
-        rows.append(np.kron(vp.reshape(1, -1), t2))
-        rhs.append(vp)
-    return np.vstack(rows), np.concatenate(rhs)
+def _broadcast_system(states):
+    """F = [vec P_1 ... vec P_k] and B with columns [vec(P_j (x) P_j); vec P_j;
+    vec P_j], the targets of P_j's value and marginal rows."""
+    f = np.stack([linalg.vec(p) for p in states], axis=1)
+    values = np.stack([linalg.vec(np.kron(p, p)) for p in states], axis=1)
+    return f, np.vstack([values, f, f])
 
 
 def cloning_mixture_gap(rho_1, rho_2, alpha: float = 0.5):
@@ -443,32 +421,38 @@ def broadcast_witness(d: int, state_sample: int = 10, seed: int = 0) -> dict:
     seed independent; the sampled random pure states are held out and only
     validate the fitted map.  The marginal-only subsystem is also solved on
     its own: it is exactly feasible (a linear, non-positive broadcaster
-    exists), which is why the value rows are part of the witness."""
+    exists), which is why the value rows are part of the witness.
+
+    P contributes the rows vec(P)^T (x) G, G = [I; T] with T = [T_1; T_2]
+    the partial-trace superoperators, so up to row order the system is
+    (F^T (x) G) vec(L) = vec(B) (F, B from `_broadcast_system`).  As
+    pinv(A (x) C) = pinv(A) (x) pinv(C), its min-norm least-squares solution
+    is L = pinv(G) B pinv(F), residual ||G L F - B||_F, and the system is
+    never built.  G has full column rank: pinv(G) = (I + T^H T)^-1 G^H.
+    The marginal-only fit takes T's SVD pseudo-inverse instead."""
     if d < 2:
         raise ValueError(
             "broadcasting is trivially linear in dimension one; the witness needs d >= 2"
         )
     frame = broadcast_frame(d)
-    a, b = _witness_rows(frame, d)
-    x, *_ = npl.lstsq(a, b, rcond=None)
-    min_residual = float(npl.norm(a @ x - b))
-    best = x.reshape((d ** 4, d * d), order="F")
-    # marginal rows alone: drop each state's leading d^4 value rows
-    block = d ** 4 + 2 * d * d
-    keep = np.concatenate(
-        [np.arange(k * block + d ** 4, (k + 1) * block) for k in range(len(frame))]
-    )
-    xm, *_ = npl.lstsq(a[keep], b[keep], rcond=None)
-    marginal_only = float(npl.norm(a[keep] @ xm - b[keep]))
+    n = d ** 4
+    t = np.vstack(_ptrace_superops(d))
+    th = linalg.dagger(t)
+    f, b = _broadcast_system(frame)
+    pinv_f = npl.pinv(f)
+    best = npl.solve(np.eye(n) + th @ t, b[:n] + th @ b[n:]) @ pinv_f
+
+    def residual(f, b):
+        lf = best @ f
+        return float(npl.norm(np.vstack([lf, t @ lf]) - b))
+
+    min_residual = residual(f, b)
+    marginal_only = float(npl.norm(t @ (npl.pinv(t) @ b[n:] @ pinv_f) @ f - b[n:]))
     rng = np.random.default_rng(seed)
     validation = 0.0
     if state_sample:
-        held_out = []
-        for _ in range(state_sample):
-            psi = sampling.random_pure(rng, d)
-            held_out.append(np.outer(psi, psi.conj()))
-        av, bv = _witness_rows(held_out, d)
-        validation = float(npl.norm(av @ x - bv))
+        psis = [sampling.random_pure(rng, d) for _ in range(state_sample)]
+        validation = residual(*_broadcast_system([np.outer(v, v.conj()) for v in psis]))
     rho_1 = linalg.matrix_unit(d, 0, 0)
     rho_2 = linalg.matrix_unit(d, 1, 1)
     gap, expr = cloning_mixture_gap(rho_1, rho_2)

@@ -439,7 +439,8 @@ def stinespring_circuit(phi: channels.QuantumChannel):
     out_dim * env with env at least the Kraus rank.  Returns the circuit
     term and a dict of box actions; box_interpretation wraps the latter for
     interpret_circuit."""
-    bad = channels.choi_min_eigenvalue(phi)
+    vals, ks = channels._choi_spectrum(phi)
+    bad = float(vals[0])
     if bad < -1e-10:
         raise NotCompletelyPositiveError(
             "only completely positive maps admit a dilation circuit",
@@ -447,7 +448,6 @@ def stinespring_circuit(phi: channels.QuantumChannel):
         )
     if not channels.is_tp(phi):
         raise ValueError("the circuit construction needs a trace preserving channel")
-    ks = channels.kraus_from_choi(phi)
     n, m, r = phi.in_dim, phi.out_dim, len(ks.operators)
     anc = 1
     while (n * anc) % m != 0 or (n * anc) // m < r:

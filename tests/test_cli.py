@@ -431,3 +431,43 @@ def test_broadcast_witness_dimension_one_is_an_input_error(tmp_path):
     code, rep = invoke(tmp_path, "--command", "nogo-broadcast", "--seed", "0", "--tol", "d=1")
     assert code == 2
     assert "d >= 2" in rep["error"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "command, pair, words",
+    [
+        ("nogo-broadcast", "samples=inf", "non-finite"),
+        ("nogo-broadcast", "d=inf", "non-finite"),
+        ("nogo-broadcast", "d=nan", "non-finite"),
+        ("nogo-broadcast", "positive=-inf", "non-finite"),
+        ("nogo-broadcast", "d=2.5", "non-negative integer"),
+        ("nogo-broadcast", "samples=-1", "non-negative integer"),
+        ("ideal-closure", "trials=1e400", "non-finite"),
+        ("feedback", "steps=0.5", "non-negative integer"),
+        ("monad-laws", "dim=-2", "non-negative integer"),
+        ("check-cp", "eig=nan", "non-finite"),
+    ],
+)
+def test_unusable_tolerance_is_an_input_error(tmp_path, command, pair, words):
+    out = tmp_path / "report.json"
+    code = cli.main(["--command", command, "--seed", "0", "--tol", pair, "--out", str(out)])
+    assert code == 2
+    rep = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert words in rep["error"]
+    assert pair.partition("=")[0] in rep["error"]
+    assert rep["config"]["tolerances"] is None
+    assert "result" not in rep
+
+
+def test_whole_valued_counts_are_accepted_as_given(tmp_path):
+    code, rep = invoke(
+        tmp_path, "--command", "nogo-broadcast", "--seed", "0", "--tol", "d=3.0", "--tol", "samples=0"
+    )
+    assert code == 0
+    assert rep["config"]["tolerances"] == {"d": 3.0, "positive": 1e-06, "samples": 0.0}
+    assert rep["result"]["d"] == 3
+    assert rep["result"]["validation_residual"] == 0.0

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +63,45 @@ def test_scaled_identity_is_rank_one_but_not_isometric():
 def test_membership_rejects_non_cp_input():
     with pytest.raises(NotCompletelyPositiveError):
         ideals.is_member(NON_ISO, ch.transpose_multimap(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3), st.sampled_from((0.0, 1e-9, 1e-7, 0.3)), st.integers(0, 2 ** 32 - 1))
+def test_membership_rank_and_defect_follow_the_relative_cut(d, eps, seed):
+    # a unitary channel plus a small admixture of a random one puts Choi
+    # eigenvalues on either side of the 1e-10 relative Kraus cut
+    rng = np.random.default_rng(seed)
+    u = ch.choi_of(ch.KrausSet((sampling.random_unitary(rng, d),))).choi
+    noise = sampling.random_channel(rng, d, d).choi
+    chan = ch.QuantumChannel(d, d, (1 - eps) * u + eps * noise)
+    vals = np.linalg.eigvalsh((chan.choi + linalg.dagger(chan.choi)) / 2)
+    rank = int(np.sum(vals > 1e-10 * max(1.0, vals[-1])))
+    v = ideals.is_member(NON_ISO, chan)
+    assert v["evidence"]["kraus_rank"] == rank
+    assert v["member"] == (rank > 1)
+    if rank == 1:
+        k = ch.kraus_from_choi(chan).operators[0]
+        assert v["evidence"]["isometry_defect"] == pytest.approx(
+            linalg.op_norm(linalg.dagger(k) @ k - np.eye(d)), abs=1e-12
+        )
+
+
+def test_membership_takes_one_choi_eigendecomposition(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership took a second, eigenvalue-only spectrum")
+
+    monkeypatch.setattr(ch.npl, "eigh", counted)
+    monkeypatch.setattr(ch.npl, "eigvalsh", refuse)
+    v = ideals.is_member(NON_ISO, ch.depolarizing_channel(2, 0.5))
+    assert v["evidence"]["kraus_rank"] == 4
+    assert calls == [(4, 4)]
 
 
 def test_membership_of_bilinear_map_goes_through_grouping():
@@ -310,6 +351,124 @@ def test_broadcast_witness_mixture_gap():
 def test_broadcast_witness_rejects_dimension_one():
     with pytest.raises(ValueError):
         ideals.broadcast_witness(1)
+
+
+def _witness_rows(states, d):
+    """The broadcast system written out: for each state P the rows
+    vec(P)^T (x) I, vec(P)^T (x) T_1 and vec(P)^T (x) T_2, with targets
+    vec(P (x) P), vec P and vec P."""
+    t1, t2 = ideals._ptrace_superops(d)
+    eye_big = np.eye(d ** 4, dtype=complex)
+    rows, rhs = [], []
+    for p in states:
+        vp = linalg.vec(p).reshape(1, -1)
+        for g, target in ((eye_big, np.kron(p, p)), (t1, p), (t2, p)):
+            rows.append(np.kron(vp, g))
+            rhs.append(linalg.vec(target))
+    return np.vstack(rows), np.concatenate(rhs)
+
+
+@functools.cache
+def _oracle_fit(d):
+    """Dense least squares over the whole stacked system, and over its
+    marginal rows alone: (best map, min residual, marginal-only residual)."""
+    a, b = _witness_rows(ideals.broadcast_frame(d), d)
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    block = d ** 4 + 2 * d * d
+    keep = np.concatenate(
+        [np.arange(k * block + d ** 4, (k + 1) * block) for k in range(b.size // block)]
+    )
+    xm, *_ = np.linalg.lstsq(a[keep], b[keep], rcond=None)
+    best = x.reshape((d ** 4, d * d), order="F")
+    return best, float(np.linalg.norm(a @ x - b)), float(np.linalg.norm(a[keep] @ xm - b[keep]))
+
+
+def oracle_broadcast_witness(d, state_sample, seed):
+    best, min_residual, marginal_only = _oracle_fit(d)
+    rng = np.random.default_rng(seed)
+    validation = 0.0
+    if state_sample:
+        held_out = []
+        for _ in range(state_sample):
+            psi = sampling.random_pure(rng, d)
+            held_out.append(np.outer(psi, psi.conj()))
+        av, bv = _witness_rows(held_out, d)
+        validation = float(np.linalg.norm(av @ linalg.vec(best) - bv))
+    rho_1 = linalg.matrix_unit(d, 0, 0)
+    rho_2 = linalg.matrix_unit(d, 1, 1)
+    gap, expr = ideals.cloning_mixture_gap(rho_1, rho_2)
+    fitted_gap = (
+        best @ linalg.vec(0.5 * rho_1 + 0.5 * rho_2)
+        - 0.5 * best @ linalg.vec(rho_1)
+        - 0.5 * best @ linalg.vec(rho_2)
+    )
+    return {
+        "d": d,
+        "min_residual": min_residual,
+        "marginal_only_residual": marginal_only,
+        "validation_residual": validation,
+        "frame_size": len(ideals.broadcast_frame(d)),
+        "state_sample": state_sample,
+        "best_linear_map": best,
+        "mixture_gap_trace_norm": float(linalg.trace_norm(gap)),
+        "mixture_expr_frobenius": float(linalg.frobenius(expr)),
+        "fitted_map_mixture_gap": float(np.linalg.norm(fitted_gap)),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 3)), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+def test_broadcast_witness_matches_dense_lstsq_oracle(d, state_sample, seed):
+    report = ideals.broadcast_witness(d, state_sample=state_sample, seed=seed)
+    oracle = oracle_broadcast_witness(d, state_sample, seed)
+    assert set(report) == set(oracle) | {"note"}
+    for key, want in oracle.items():
+        got = report[key]
+        if key == "best_linear_map":
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0, atol=1e-10)
+        elif isinstance(want, float):
+            # the round-off sized entries (marginal-only residual, fitted
+            # mixture gap) sit near 1e-15, where only an absolute floor holds
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12), key
+        else:
+            assert got == want, key
+
+
+def _frame_system(d):
+    """G = [I; T_1; T_2], F = [vec P_k] and B = [vec(P_k (x) P_k); vec P_k; vec P_k]
+    for the broadcast frame, built state by state."""
+    t1, t2 = ideals._ptrace_superops(d)
+    g = np.vstack([np.eye(d ** 4), t1, t2])
+    frame = ideals.broadcast_frame(d)
+    f = np.column_stack([linalg.vec(p) for p in frame])
+    b = np.column_stack(
+        [np.concatenate([linalg.vec(np.kron(p, p)), linalg.vec(p), linalg.vec(p)]) for p in frame]
+    )
+    return g, f, b
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_broadcast_witness_is_least_squares_optimal_beyond_the_oracle(d):
+    report = ideals.broadcast_witness(d, state_sample=2, seed=d)
+    g, f, b = _frame_system(d)
+    x = report["best_linear_map"]
+    r = g @ x @ f - b
+    # normal equations of (F^T (x) G) vec(X) = vec(B): G^H R F^H = 0
+    assert np.max(np.abs(linalg.dagger(g) @ r @ linalg.dagger(f))) <= 1e-9
+    assert report["min_residual"] == pytest.approx(float(np.linalg.norm(r)), rel=1e-10)
+    assert report["min_residual"] > 1e-6
+    assert report["marginal_only_residual"] <= 1e-8
+    assert report["frame_size"] == f.shape[1]
+
+
+def test_broadcast_witness_never_calls_lstsq(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("broadcast_witness solved a dense stacked system")
+
+    monkeypatch.setattr(ideals.npl, "lstsq", refuse)
+    report = ideals.broadcast_witness(3)
+    assert report["min_residual"] > 1e-6
 
 
 def test_cloning_mixture_gap_scales_with_weights():
