@@ -222,31 +222,10 @@ def cmd_monad_laws(objs, paths, tol, seed):
 
 def cmd_algebra_laws(objs, paths, tol, seed):
     interp = io.decode_interpretation(objs[0], paths[0])
-    alg = monad.algebra_from_interpretation(interp)
-    symbols = [interp.operad[name] for name in sorted(interp.assign)]
-    d = alg.carrier_dim
-    rng = np.random.default_rng(seed)
-    unit_worst = 0.0
-    mult_worst = 0.0
-    trials = int(tol["trials"])
-    for _ in range(trials):
-        v = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        unit_val = monad.algebra_eval(alg, monad.unit(v))
-        unit_worst = max(unit_worst, float(np.max(np.abs(unit_val - v))))
-        x = monad.random_element(rng, symbols, dim=d, depth=2, term_depth=1)
-        lhs = monad.algebra_eval(alg, monad.mu(x))
-        rhs = monad.algebra_eval(
-            alg, monad.t_map(lambda el: monad.algebra_eval(alg, el), x)
-        )
-        mult_worst = max(mult_worst, float(linalg.frobenius(lhs - rhs)))
-    passed = bool(unit_worst == 0.0 and mult_worst <= tol["residual"])
-    result = {
-        "unit_max_deviation": unit_worst,
-        "multiplication_max_residual": mult_worst,
-        "trials": trials,
-        "passed": passed,
-    }
-    return result, passed
+    report = monad.algebra_law_suite(
+        interp, trials=int(tol["trials"]), seed=seed, tol=tol["residual"]
+    )
+    return report, bool(report["passed"])
 
 
 def cmd_homcheck(objs, paths, tol, seed):
@@ -485,7 +464,7 @@ def run(command: str, inputs, tol_pairs, seed: Optional[int]):
         envelope["result"] = result
         envelope["passed"] = bool(passed)
         return envelope, 0 if passed else 1
-    except (OperaqError, ValueError, np.linalg.LinAlgError, MemoryError) as e:
+    except (OperaqError, ValueError, np.linalg.LinAlgError, MemoryError, RecursionError) as e:
         LOG.error("%s", e)
         envelope["error"] = str(e) or type(e).__name__
         return envelope, 2

@@ -85,7 +85,8 @@ def grouped_channel(mm: channels.OperatorMultiMap) -> channels.QuantumChannel:
     """The channel on the tensor product space that a multimap induces by
     grouping its slots."""
     din = int(np.prod(mm.input_operator_dims)) if mm.input_operator_dims else 1
-    s = mm.action_matrix[:, linalg.mingle_index(mm.input_operator_dims)]
+    slots = range(1, mm.arity + 1)
+    s = operad._contract([(0, slots, mm)], [0], slots, [mm.output_operator_dim], grouped=True)
     return channels.QuantumChannel(
         din, mm.output_operator_dim, channels.superop_to_choi(s, din, mm.output_operator_dim)
     )

@@ -450,6 +450,8 @@ def load_json(path: str):
         raise SchemaError(
             f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError:
+        raise SchemaError(f"{path}: nested too deeply to parse") from None
 
 
 def save_json(obj, path: str) -> None:

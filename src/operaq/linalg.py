@@ -10,7 +10,9 @@ Conventions fixed here and used everywhere else:
     permutation P is held as src with (P x)[i] = x[src[i]], so P @ A is
     A[src] and A @ P is A[:, np.argsort(src)].  The dense builders
     factor_permutation and mingle are kept only where the explicit matrix
-    is wanted (test oracles, demos); no computation multiplies by one.
+    is wanted (test oracles, demos); no computation multiplies by one;
+  * superop_kron serves channel_kron only: terms, circuits and composites
+    are contracted wire by wire in operad, never kron'd whole.
 """
 
 from __future__ import annotations
@@ -172,13 +174,6 @@ def factor_permutation_index(dims, perm) -> np.ndarray:
     if sorted(perm) != list(range(len(dims))):
         raise DimensionMismatchError("not a permutation of the factors")
     return np.arange(int(np.prod(dims))).reshape(dims).transpose(perm).ravel()
-
-
-def superop_permutation_index(dims, perm) -> np.ndarray:
-    """Index array of kron(P, P), the vec-side map rho -> P rho P^T of the
-    factor permutation P."""
-    src = factor_permutation_index(dims, perm)
-    return (src[:, None] * src.size + src[None, :]).ravel()
 
 
 def mingle_index(dims) -> np.ndarray:

@@ -231,22 +231,29 @@ def monad_law_suite(symbols, trials: int = 100, seed: int = 0, dim: int = 2) -> 
 @dataclass(frozen=True)
 class AlgebraMap:
     """Evaluation data over a fixed carrier: an interpretation of the
-    symbols, plus an optional map applied after each term.  Plain algebras
-    (post None) satisfy the unit and multiplication laws; representation
-    maps trade the unit law for the attached channel."""
+    symbols, plus an optional channel applied after each term.  Plain
+    algebras (post None) satisfy the unit and multiplication laws;
+    representation maps trade the unit law for the attached channel."""
 
     interpretation: operad.Interpretation
     carrier_dim: int
-    post: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    post_dim: Optional[int] = None
+    post: Optional[channels.QuantumChannel] = None
 
     @property
     def output_dim(self) -> int:
-        return self.carrier_dim if self.post_dim is None else self.post_dim
+        return self.carrier_dim if self.post is None else self.post.out_dim
 
 
 def algebra_from_interpretation(interp: operad.Interpretation) -> AlgebraMap:
     return AlgebraMap(interp, interp.carrier())
+
+
+def _term_multimap(alg: AlgebraMap, term) -> channels.OperatorMultiMap:
+    """post after the interpreted term, as one multimap."""
+    mm = operad.interpret(alg.interpretation, term, leaf_dim=alg.carrier_dim)
+    if alg.post is None:
+        return mm
+    return operad._compose_multimaps(channels.channel_multimap(alg.post), [mm])
 
 
 def algebra_eval(alg: AlgebraMap, x: MonadElement) -> np.ndarray:
@@ -258,25 +265,53 @@ def algebra_eval(alg: AlgebraMap, x: MonadElement) -> np.ndarray:
             raise DimensionMismatchError(
                 "nested element in a base slot; flatten with mu before evaluating"
             )
-        mm = operad.interpret(alg.interpretation, term, leaf_dim=alg.carrier_dim)
-        val = channels.apply_ops(mm, list(args))
-        if alg.post is not None:
-            val = alg.post(val)
-        total += coeff * val
+        total += coeff * channels.apply_ops(_term_multimap(alg, term), list(args))
     return total
+
+
+def _corolla(sym: operad.OperadSymbol):
+    """The one-node term sym(0, ..., n-1)."""
+    return operad.Apply(sym, tuple(operad.Leaf(i) for i in range(sym.arity)))
+
+
+def _trial_term(rng, trial: int, pool):
+    """Even trials draw a corolla of the pool, odd trials a deeper term."""
+    if trial % 2 == 0:
+        return _corolla(pool[int(rng.integers(len(pool)))])
+    return operad.random_term(rng, pool)
 
 
 def cptp_family(alg: AlgebraMap, symbol) -> channels.OperatorMultiMap:
     """The multilinear map (a_1, ..., a_n) -> eval([s; a_1, ..., a_n])."""
     sym = symbol if isinstance(symbol, operad.OperadSymbol) else alg.interpretation.operad[symbol]
-    term = operad.Apply(sym, tuple(operad.Leaf(i) for i in range(sym.arity)))
+    return _term_multimap(alg, _corolla(sym))
 
-    def fn(*mats):
-        return algebra_eval(alg, MonadElement(((1.0, term, tuple(mats)),)))
 
-    return channels.multimap_from_function(
-        fn, (alg.carrier_dim,) * sym.arity, alg.output_dim
-    )
+def algebra_law_suite(
+    interp: operad.Interpretation, trials: int = 25, seed: int = 0, tol: float = 1e-10
+) -> dict:
+    """Check the algebra laws of an interpretation on random inputs: the
+    unit law eval(unit(v)) = v exactly, and the multiplication law
+    eval(mu(x)) = eval(t_map(eval, x)) within tol on depth-two elements."""
+    alg = algebra_from_interpretation(interp)
+    symbols = _assigned_symbols(interp)
+    d = alg.carrier_dim
+    rng = np.random.default_rng(seed)
+    unit_worst = 0.0
+    mult_worst = 0.0
+    for _ in range(trials):
+        v = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        unit_worst = max(unit_worst, float(np.max(np.abs(algebra_eval(alg, unit(v)) - v))))
+        x = random_element(rng, symbols, dim=d, depth=2, term_depth=1)
+        lhs = algebra_eval(alg, mu(x))
+        rhs = algebra_eval(alg, t_map(lambda el: algebra_eval(alg, el), x))
+        mult_worst = max(mult_worst, float(linalg.frobenius(lhs - rhs)))
+    return {
+        "unit_max_deviation": unit_worst,
+        "multiplication_max_residual": mult_worst,
+        "trials": trials,
+        "passed": bool(unit_worst == 0.0 and mult_worst <= tol),
+    }
 
 
 def _assigned_symbols(interp: operad.Interpretation):
@@ -307,11 +342,7 @@ def homomorphism_check(
     worst = 0.0
     witness = None
     for trial in range(trials):
-        if trial % 2 == 0:
-            sym = symbols[int(rng.integers(len(symbols)))]
-            term = operad.Apply(sym, tuple(operad.Leaf(i) for i in range(sym.arity)))
-        else:
-            term = operad.random_term(rng, symbols)
+        term = _trial_term(rng, trial, symbols)
         n = operad.arity(term)
         args = tuple(
             rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n)
@@ -347,12 +378,7 @@ def representation_of(
         raise DimensionMismatchError(
             f"channel input dim {phi.in_dim} does not match the carrier dim {d}"
         )
-    return AlgebraMap(
-        interp,
-        d,
-        post=lambda m: channels.channel_apply(phi, m),
-        post_dim=phi.out_dim,
-    )
+    return AlgebraMap(interp, d, post=phi)
 
 
 def operational_equivalence(
@@ -380,22 +406,15 @@ def operational_equivalence(
     witness = None
     sweep_cases = 0
 
-    def evaluator(alg, term):
-        mm = operad.interpret(alg.interpretation, term, leaf_dim=d)
-
-        def ev(args):
-            val = channels.apply_ops(mm, list(args))
-            return alg.post(val) if alg.post is not None else val
-
-        return ev
-
     def run(term, arg_tuples):
         nonlocal worst, witness, sweep_cases
-        ev_a = evaluator(alg_a, term)
-        ev_b = evaluator(alg_b, term)
+        mm_a = _term_multimap(alg_a, term)
+        mm_b = _term_multimap(alg_b, term)
         for args in arg_tuples:
             sweep_cases += 1
-            r = float(linalg.frobenius(ev_a(args) - ev_b(args)))
+            r = float(linalg.frobenius(
+                channels.apply_ops(mm_a, list(args)) - channels.apply_ops(mm_b, list(args))
+            ))
             worst = max(worst, r)
             if witness is None and r > tol:
                 witness = {"term": term, "args": list(args), "residual": r}
@@ -403,8 +422,7 @@ def operational_equivalence(
     for sym in _assigned_symbols(interp):
         if sym.arity > 2:
             continue
-        term = operad.Apply(sym, tuple(operad.Leaf(i) for i in range(sym.arity)))
-        run(term, itertools.product(units, repeat=sym.arity))
+        run(_corolla(sym), itertools.product(units, repeat=sym.arity))
     rng = np.random.default_rng(seed)
     pool = _assigned_symbols(interp)
     random_cases = 0
@@ -543,11 +561,7 @@ def monoidal_compat_check(
     pool = [i_1.operad[nm] for nm in names]
     worst = 0.0
     for trial in range(trials):
-        if trial % 2 == 0:
-            sym = pool[int(rng.integers(len(pool)))]
-            term = operad.Apply(sym, tuple(operad.Leaf(i) for i in range(sym.arity)))
-        else:
-            term = operad.random_term(rng, pool)
+        term = _trial_term(rng, trial, pool)
         n = operad.arity(term)
         a = [rng.normal(size=(d_1, d_1)) + 1j * rng.normal(size=(d_1, d_1)) for _ in range(n)]
         b = [rng.normal(size=(d_2, d_2)) + 1j * rng.normal(size=(d_2, d_2)) for _ in range(n)]

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import channels, linalg
+from . import channels
 from .errors import (
     DimensionMismatchError,
     NonLinearGeneratorError,
@@ -369,46 +369,81 @@ class Interpretation:
         )
 
 
-def _compose_multimaps(base, children):
-    block = linalg.kron_all([c.action_matrix for c in children]) if children else np.eye(1)
-    dims = tuple(d for c in children for d in c.input_operator_dims)
-    return channels.OperatorMultiMap(dims, base.output_operator_dim, base.action_matrix @ block)
+def _contract(boxes, out_wires, in_wires, dim, grouped: bool) -> np.ndarray:
+    """Matrix of a wire network of operator maps, contracted back from the
+    outputs.  boxes are (wire, in_wires, multimap) triples, each listed
+    after the box that consumes its wire.  The running tensor has a
+    (column, row) axis pair per output wire, then one per open wire; it
+    starts as the identity, and each box swaps its wire's pair for its
+    inputs' pairs by one matrix product.  Columns come out grouped (the vec
+    of the joint operator) or slotwise.  numpy caps arrays at 64 axes, so
+    more than about 31 open slots raise ValueError."""
+    k = len(out_wires)
+    pairs = [dim[w] for w in out_wires for _ in "cr"]
+    side = int(np.prod(pairs))
+    t = np.eye(side, dtype=complex).reshape(pairs * 2)
+    live = list(out_wires)
+    for w, ins, mm in boxes:
+        at = 2 * (k + live.index(w))
+        rest = [i for i in range(t.ndim) if i not in (at, at + 1)]
+        shape = [t.shape[i] for i in rest] + [d for d in mm.input_operator_dims for _ in "cr"]
+        flat = t.transpose(rest + [at, at + 1]).reshape(-1, mm.action_matrix.shape[0])
+        t = (flat @ mm.action_matrix).reshape(shape)
+        live.remove(w)
+        live += ins
+    ends = (range(0, 2 * k, 2), [2 * (k + live.index(w)) for w in in_wires])
+    if grouped:
+        order = [a + r for axes in ends for r in (0, 1) for a in axes]
+    else:
+        order = [a + r for axes in ends for a in axes for r in (0, 1)]
+    return t.transpose(order).reshape(side, -1)
+
+
+def _compose_multimaps(base, children) -> channels.OperatorMultiMap:
+    """base with children[k] in its slot k: one base box over its parts."""
+    n = len(children)
+    boxes, dims = [(0, range(1, n + 1), base)], [base.output_operator_dim]
+    dims += [c.output_operator_dim for c in children]
+    for w, c in enumerate(children, 1):
+        boxes.append((w, range(len(dims), len(dims) + c.arity), c))
+        dims += c.input_operator_dims
+    matrix = _contract(boxes, [0], range(n + 1, len(dims)), dims, grouped=False)
+    return channels.OperatorMultiMap(tuple(dims[n + 1 :]), dims[0], matrix)
 
 
 def interpret(interp: Interpretation, t: OperadTerm, leaf_dim: Optional[int] = None) -> channels.OperatorMultiMap:
     """Evaluate a term to its operator multimap, slots ordered by leaf
-    label."""
+    label: every node is a box, and the leaf labeled k is input wire k."""
     t = canonical_form(t)
-    validate_term(t)
+    n = len(validate_term(t))
+    boxes, dims, leaf_wire = [], [], [0] * n
 
     def walk(node, expected_dim):
+        w = len(dims)
+        dims.append(expected_dim)
         if isinstance(node, Leaf):
             if expected_dim is None:
                 raise DimensionMismatchError(
                     "a bare leaf needs an explicit dimension (leaf_dim)"
                 )
-            return channels.identity_multimap(expected_dim), [node.slot]
+            leaf_wire[node.slot] = w
+            return w
         base = interp.action(node.symbol.name)
         if expected_dim is not None and base.output_operator_dim != expected_dim:
             raise DimensionMismatchError(
                 f"{node.symbol.name} outputs dim {base.output_operator_dim}, expected {expected_dim}"
             )
-        mms, labels = [], []
-        for child, d in zip(node.children, base.input_operator_dims):
-            mm, lab = walk(child, d)
-            mms.append(mm)
-            labels.extend(lab)
-        return _compose_multimaps(base, mms), labels
+        dims[w] = base.output_operator_dim
+        ins = []
+        boxes.append((w, ins, base))
+        ins += [walk(c, d) for c, d in zip(node.children, base.input_operator_dims)]
+        return w
 
-    mm, labels = walk(t, leaf_dim)
-    if not labels:
-        return mm
-    dims_by_label = [0] * len(labels)
-    for pos, lab in enumerate(labels):
-        dims_by_label[lab] = mm.input_operator_dims[pos]
-    src = linalg.factor_permutation_index(tuple(d * d for d in dims_by_label), labels)
+    walk(t, leaf_dim)
     return channels.OperatorMultiMap(
-        tuple(dims_by_label), mm.output_operator_dim, mm.action_matrix[:, np.argsort(src)]
+        tuple(dims[w] for w in leaf_wire),
+        dims[0],
+        _contract(boxes, [0], leaf_wire, dims, grouped=False),
     )
 
 
@@ -544,61 +579,25 @@ class WireMap:
 
 
 def interpret_circuit(interp: Interpretation, c: CircuitTerm, in_dims) -> WireMap:
+    """The circuit's grouped superoperator: its boxes, latest firing first,
+    contracted back from the output wires."""
     in_dims = tuple(int(d) for d in in_dims)
     if len(in_dims) != c.n_in:
         raise DimensionMismatchError("one dimension per input wire required")
     box_layer = _layer_assignment(c)
-    dim = {w: in_dims[w] for w in range(c.n_in)}
-
-    live = list(range(c.n_in))
-    total = np.eye(int(np.prod([d * d for d in in_dims])), dtype=complex)
-
-    for lv in sorted(set(box_layer)) if box_layer else []:
-        members = [k for k, l in enumerate(box_layer) if l == lv]
-        with_inputs = sorted(
-            (k for k in members if c.boxes[k].in_wires),
-            key=lambda k: min(live.index(w) for w in c.boxes[k].in_wires),
-        )
-        nullary = sorted(
-            (k for k in members if not c.boxes[k].in_wires),
-            key=lambda k: (c.boxes[k].symbol, k),
-        )
-        actions = {}
-        for k in members:
-            b = c.boxes[k]
-            mm = interp.action(b.symbol)
-            if mm.arity != len(b.in_wires):
-                raise DimensionMismatchError(f"box {b.symbol} wired with wrong arity")
-            for w, d in zip(b.in_wires, mm.input_operator_dims):
-                if dim[w] != d:
-                    raise DimensionMismatchError(
-                        f"wire dim {dim[w]} does not match {b.symbol} slot dim {d}"
-                    )
-            dim[c.n_in + k] = mm.output_operator_dim
-            actions[k] = mm
-
-        new_order = [w for k in with_inputs for w in c.boxes[k].in_wires]
-        passthrough = [w for w in live if w not in set(new_order)]
-        perm = tuple(live.index(w) for w in new_order + passthrough)
-        p_src = linalg.superop_permutation_index(tuple(dim[w] for w in live), perm)
-
-        # each box receives the grouped vectorization of its contiguous
-        # input block; its action matrix expects slotwise vec factors
-        superops = [
-            actions[k].action_matrix[:, linalg.mingle_index(actions[k].input_operator_dims)]
-            for k in with_inputs
-        ]
-        superops += [np.eye(dim[w] ** 2, dtype=complex) for w in passthrough]
-        superops += [actions[k].action_matrix for k in nullary]
-        block_in = [int(np.prod(actions[k].input_operator_dims)) for k in with_inputs]
-        block_in += [dim[w] for w in passthrough] + [1] * len(nullary)
-        block_out = [actions[k].output_operator_dim for k in with_inputs]
-        block_out += [dim[w] for w in passthrough]
-        block_out += [actions[k].output_operator_dim for k in nullary]
-
-        total = linalg.superop_kron(superops, tuple(block_in), tuple(block_out)) @ total[p_src]
-        live = [c.n_in + k for k in with_inputs] + passthrough + [c.n_in + k for k in nullary]
-
-    perm = tuple(live.index(w) for w in c.out_wires)
-    final = linalg.superop_permutation_index(tuple(dim[w] for w in live), perm)
-    return WireMap(in_dims, tuple(dim[w] for w in c.out_wires), total[final])
+    dim = dict(enumerate(in_dims))
+    boxes = []
+    for k in sorted(range(len(c.boxes)), key=box_layer.__getitem__):
+        b = c.boxes[k]
+        mm = interp.action(b.symbol)
+        if mm.arity != len(b.in_wires):
+            raise DimensionMismatchError(f"box {b.symbol} wired with wrong arity")
+        for w, d in zip(b.in_wires, mm.input_operator_dims):
+            if dim[w] != d:
+                raise DimensionMismatchError(
+                    f"wire dim {dim[w]} does not match {b.symbol} slot dim {d}"
+                )
+        dim[c.n_in + k] = mm.output_operator_dim
+        boxes.append((c.n_in + k, b.in_wires, mm))
+    superop = _contract(boxes[::-1], c.out_wires, range(c.n_in), dim, grouped=True)
+    return WireMap(in_dims, tuple(dim[w] for w in c.out_wires), superop)

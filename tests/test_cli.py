@@ -243,6 +243,37 @@ def test_algebra_laws_command(tmp_path):
     assert rep["result"]["multiplication_max_residual"] <= 1e-10
 
 
+def test_algebra_laws_report_matches_the_inline_loop(tmp_path):
+    # the loop the command ran before the suite moved into monad
+    path = write(tmp_path, "interp.json", qubit_interp_obj())
+    code, rep = invoke(
+        tmp_path, "--command", "algebra-laws", "--in", path, "--seed", "4",
+        "--tol", "trials=6",
+    )
+    interp = io.decode_interpretation(qubit_interp_obj(), path)
+    alg = monad.algebra_from_interpretation(interp)
+    symbols = [interp.operad[name] for name in sorted(interp.assign)]
+    rng = np.random.default_rng(4)
+    unit_worst = mult_worst = 0.0
+    for _ in range(6):
+        v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        unit_val = monad.algebra_eval(alg, monad.unit(v))
+        unit_worst = max(unit_worst, float(np.max(np.abs(unit_val - v))))
+        x = monad.random_element(rng, symbols, dim=2, depth=2, term_depth=1)
+        lhs = monad.algebra_eval(alg, monad.mu(x))
+        rhs = monad.algebra_eval(alg, monad.t_map(lambda el: monad.algebra_eval(alg, el), x))
+        mult_worst = max(mult_worst, float(linalg.frobenius(lhs - rhs)))
+    passed = bool(unit_worst == 0.0 and mult_worst <= 1e-10)
+    want = {
+        "unit_max_deviation": unit_worst,
+        "multiplication_max_residual": mult_worst,
+        "trials": 6,
+        "passed": passed,
+    }
+    assert code == 0 and passed
+    assert io.canonical_json(rep["result"]) == io.canonical_json(want)
+
+
 def test_homcheck_identity_passes(tmp_path):
     interp_obj = qubit_interp_obj()
     ia = write(tmp_path, "a.json", interp_obj)
@@ -471,3 +502,13 @@ def test_whole_valued_counts_are_accepted_as_given(tmp_path):
     assert rep["config"]["tolerances"] == {"d": 3.0, "positive": 1e-06, "samples": 0.0}
     assert rep["result"]["d"] == 3
     assert rep["result"]["validation_residual"] == 0.0
+
+
+def test_deeply_nested_term_is_an_input_error(tmp_path):
+    ipath = write(tmp_path, "interp.json", qubit_interp_obj())
+    tpath = tmp_path / "deep.json"
+    tpath.write_text('{"op":"dep","args":[' * 600 + '{"slot":0}' + "]}" * 600)
+    code, rep = invoke(tmp_path, "--command", "term-eval", "--in", ipath, "--in", str(tpath))
+    assert code == 2
+    assert "nested too deeply" in rep["error"]
+    assert "result" not in rep

@@ -134,9 +134,6 @@ def test_factor_permutation_gathers_match_dense_oracle(data):
     a = sampling.ginibre(rng, p.shape[0], p.shape[0])
     assert np.allclose(a[src], p @ a, rtol=0, atol=1e-12)
     assert np.allclose(a[:, np.argsort(src)], a @ p, rtol=0, atol=1e-12)
-    ksrc = linalg.superop_permutation_index(dims, perm)
-    b = sampling.ginibre(rng, p.size, 3)
-    assert np.allclose(b[ksrc], np.kron(p, p) @ b, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

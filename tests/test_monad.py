@@ -188,6 +188,60 @@ def test_cptp_family_matches_interpretation():
     assert np.allclose(fam.action_matrix, interp.action("f").action_matrix, atol=1e-12)
 
 
+def old_cptp_family(alg, name):
+    # the callable sweep over eval([s; a_1, ..., a_n]), post applied to the value
+    sym = alg.interpretation.operad[name]
+    term = op.Apply(sym, tuple(op.Leaf(i) for i in range(sym.arity)))
+
+    def fn(*mats):
+        mm = op.interpret(alg.interpretation, term, leaf_dim=alg.carrier_dim)
+        val = ch.apply_ops(mm, list(mats))
+        return val if alg.post is None else ch.channel_apply(alg.post, val)
+
+    return ch.multimap_from_function(fn, (alg.carrier_dim,) * sym.arity, alg.output_dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cptp_family_matches_callable_sweep(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    spec = op.OperadSpec((F, G, op.OperadSymbol("id", 1), op.OperadSymbol("prep", 0)))
+    interp = op.Interpretation(
+        spec,
+        {
+            "f": bilinear_from_channel(sampling.random_channel(rng, 4, 2)),
+            "g": ch.channel_multimap(sampling.random_channel(rng, 2, 2)),
+            "id": ch.identity_multimap(2),
+            "prep": ch.OperatorMultiMap((), 2, linalg.vec(sampling.random_density(rng, 2))[:, None]),
+        },
+        carrier_dim=2,
+    )
+    out = data.draw(st.sampled_from([None, 1, 2, 3]))
+    if out is None:
+        alg = monad.algebra_from_interpretation(interp)
+    else:
+        alg = monad.representation_of(sampling.random_channel(rng, 2, out), interp)
+    name = data.draw(st.sampled_from(["f", "g", "id", "prep"]))
+    got = monad.cptp_family(alg, name)
+    want = old_cptp_family(alg, name)
+    assert got.input_operator_dims == want.input_operator_dims
+    assert got.output_operator_dim == want.output_operator_dim == alg.output_dim
+    assert np.allclose(got.action_matrix, want.action_matrix, rtol=0, atol=1e-10)
+
+
+def test_trial_term_draws_like_the_inline_draw():
+    pool = [F, G, op.OperadSymbol("id", 1)]
+    old, new = np.random.default_rng(3), np.random.default_rng(3)
+    for trial in range(40):
+        if trial % 2 == 0:
+            sym = pool[int(old.integers(len(pool)))]
+            want = op.Apply(sym, tuple(op.Leaf(i) for i in range(sym.arity)))
+        else:
+            want = op.random_term(old, pool)
+        assert monad._trial_term(new, trial, pool) == want
+    assert old.integers(2**62) == new.integers(2**62)
+
+
 def test_homomorphism_identity_passes():
     rng = np.random.default_rng(11)
     alg = monad.algebra_from_interpretation(cp_interpretation(rng))
