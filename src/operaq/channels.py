@@ -680,93 +680,6 @@ def zigzag_check(dil: MultilinearDilation) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# finite-dimensional C*-algebras, traces and Hilbert-space bookkeeping
-
-
-@dataclass(frozen=True)
-class FdCStarAlgebra:
-    """Multi-matrix algebra M_{n_1} (+) ... (+) M_{n_k}, elements realized
-    as block-diagonal matrices on the direct sum."""
-
-    block_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.block_dims)
-        if not dims or any(d <= 0 for d in dims):
-            raise DimensionMismatchError("block dims must be positive")
-        object.__setattr__(self, "block_dims", dims)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.block_dims)
-
-    @property
-    def is_simple(self) -> bool:
-        return len(self.block_dims) == 1
-
-
-def block_diagonal(alg: FdCStarAlgebra, blocks) -> np.ndarray:
-    blocks = [linalg.as_matrix(b) for b in blocks]
-    if tuple(b.shape[0] for b in blocks) != alg.block_dims or any(
-        b.shape[0] != b.shape[1] for b in blocks
-    ):
-        raise DimensionMismatchError("blocks do not match the algebra profile")
-    n = alg.total_dim
-    out = np.zeros((n, n), dtype=complex)
-    at = 0
-    for b in blocks:
-        out[at : at + b.shape[0], at : at + b.shape[0]] = b
-        at += b.shape[0]
-    return out
-
-
-def algebra_unit(alg: FdCStarAlgebra) -> np.ndarray:
-    return np.eye(alg.total_dim, dtype=complex)
-
-
-def blocks_of(alg: FdCStarAlgebra, element, tol: float = 1e-10):
-    a = linalg.as_matrix(element)
-    n = alg.total_dim
-    if a.shape != (n, n):
-        raise DimensionMismatchError(f"element side {a.shape} != algebra dim {n}")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    blocks = []
-    at = 0
-    mask = np.ones((n, n), dtype=bool)
-    for d in alg.block_dims:
-        blocks.append(a[at : at + d, at : at + d])
-        mask[at : at + d, at : at + d] = False
-        at += d
-    if mask.any() and np.max(np.abs(a[mask])) > tol * scale:
-        raise DimensionMismatchError("element is not block-diagonal for this algebra")
-    return blocks
-
-
-def normalized_trace(alg: FdCStarAlgebra, element) -> complex:
-    """Tr(element) / N on the direct-sum space: the block weights n_i/N
-    applied to the block-normalized traces tr_i = Tr_i/n_i, so the unit
-    traces to exactly 1 on every block profile."""
-    blocks = blocks_of(alg, element)
-    value = sum(np.trace(b) for b in blocks) / alg.total_dim
-    return complex(value)
-
-
-def hilb_to_cstar(h_dim: int) -> FdCStarAlgebra:
-    if h_dim <= 0:
-        raise DimensionMismatchError("Hilbert space dimension must be positive")
-    return FdCStarAlgebra((h_dim,))
-
-
-def cstar_to_hilb(alg: FdCStarAlgebra) -> int:
-    if not alg.is_simple:
-        raise ValueError(
-            "only a simple (single-block) algebra corresponds to one Hilbert space; "
-            "process direct sums blockwise"
-        )
-    return alg.block_dims[0]
-
-
-# ---------------------------------------------------------------------------
 # channel comparison and products
 
 

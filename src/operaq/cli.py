@@ -48,7 +48,10 @@ SEEDED = frozenset(
 
 
 def _as_channel(obj, ctx: str) -> channels.QuantumChannel:
-    op = io.decode_operation(obj, ctx)
+    return _channel_of(io.decode_operation(obj, ctx), ctx)
+
+
+def _channel_of(op, ctx: str) -> channels.QuantumChannel:
     if isinstance(op, channels.KrausSet):
         return channels.choi_of(op)
     if isinstance(op, channels.OperatorMultiMap):
@@ -88,7 +91,7 @@ def _interp_and_term(objs, paths):
 
 def cmd_check_cp(objs, paths, tol, seed):
     op = io.decode_operation(objs[0], paths[0])
-    ch = _as_channel(objs[0], paths[0])
+    ch = _channel_of(op, paths[0])
     low = channels.choi_min_eigenvalue(ch)
     cp = bool(low >= -tol["eig"])
     result = {"cp": cp, "min_eigenvalue": low}

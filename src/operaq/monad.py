@@ -171,9 +171,8 @@ def random_element(
 
     Nested levels stay single-generator so flattening a deep element grows
     linearly; the bilinear expansion of mu is exercised by the outer level.
-    Pass a small term_depth when the element will be evaluated: flattened
-    arities multiply through nesting, and interpretation is exponential in
-    the arity."""
+    term_depth overrides the depth of the drawn terms (3 at depth one, else
+    2); flattened arities multiply through nesting."""
     terms = []
     for _ in range(1 + int(rng.integers(max_terms))):
         td = term_depth if term_depth is not None else (3 if depth == 1 else 2)
@@ -248,12 +247,10 @@ def algebra_from_interpretation(interp: operad.Interpretation) -> AlgebraMap:
     return AlgebraMap(interp, interp.carrier())
 
 
-def _term_multimap(alg: AlgebraMap, term) -> channels.OperatorMultiMap:
-    """post after the interpreted term, as one multimap."""
-    mm = operad.interpret(alg.interpretation, term, leaf_dim=alg.carrier_dim)
-    if alg.post is None:
-        return mm
-    return operad._compose_multimaps(channels.channel_multimap(alg.post), [mm])
+def _term_value(alg: AlgebraMap, term, args) -> np.ndarray:
+    """post applied to the value of the decorated term."""
+    v = operad.evaluate(alg.interpretation, term, args, alg.carrier_dim)
+    return v if alg.post is None else channels.channel_apply(alg.post, v)
 
 
 def algebra_eval(alg: AlgebraMap, x: MonadElement) -> np.ndarray:
@@ -265,7 +262,7 @@ def algebra_eval(alg: AlgebraMap, x: MonadElement) -> np.ndarray:
             raise DimensionMismatchError(
                 "nested element in a base slot; flatten with mu before evaluating"
             )
-        total += coeff * channels.apply_ops(_term_multimap(alg, term), list(args))
+        total += coeff * _term_value(alg, term, args)
     return total
 
 
@@ -284,7 +281,10 @@ def _trial_term(rng, trial: int, pool):
 def cptp_family(alg: AlgebraMap, symbol) -> channels.OperatorMultiMap:
     """The multilinear map (a_1, ..., a_n) -> eval([s; a_1, ..., a_n])."""
     sym = symbol if isinstance(symbol, operad.OperadSymbol) else alg.interpretation.operad[symbol]
-    return _term_multimap(alg, _corolla(sym))
+    mm = operad.interpret(alg.interpretation, _corolla(sym), leaf_dim=alg.carrier_dim)
+    if alg.post is None:
+        return mm
+    return operad._compose_multimaps(channels.channel_multimap(alg.post), [mm])
 
 
 def algebra_law_suite(
@@ -347,10 +347,8 @@ def homomorphism_check(
         args = tuple(
             rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n)
         )
-        lhs = out_map(algebra_eval(alg_a, MonadElement(((1.0, term, args),))))
-        rhs = algebra_eval(
-            alg_b, MonadElement(((1.0, term, tuple(f(a) for a in args)),))
-        )
+        lhs = out_map(_term_value(alg_a, term, args))
+        rhs = _term_value(alg_b, term, tuple(f(a) for a in args))
         r = float(linalg.frobenius(lhs - rhs))
         worst = max(worst, r)
         if witness is None and r > tol:
@@ -398,9 +396,9 @@ def operational_equivalence(
     this sweep; the first disagreement is returned as a witness."""
     if (phi_a.in_dim, phi_a.out_dim) != (phi_b.in_dim, phi_b.out_dim):
         raise DimensionMismatchError("channels being compared must share dimensions")
-    alg_a = representation_of(phi_a, interp)
-    alg_b = representation_of(phi_b, interp)
-    d = alg_a.carrier_dim
+    # representation_of checks the carrier; each case is then evaluated once
+    # and its value pushed through both channels
+    d = representation_of(phi_a, interp).carrier_dim
     units = [e for _, _, e in linalg.matrix_units(d)]
     worst = 0.0
     witness = None
@@ -408,12 +406,11 @@ def operational_equivalence(
 
     def run(term, arg_tuples):
         nonlocal worst, witness, sweep_cases
-        mm_a = _term_multimap(alg_a, term)
-        mm_b = _term_multimap(alg_b, term)
         for args in arg_tuples:
             sweep_cases += 1
+            v = operad.evaluate(interp, term, args, d)
             r = float(linalg.frobenius(
-                channels.apply_ops(mm_a, list(args)) - channels.apply_ops(mm_b, list(args))
+                channels.channel_apply(phi_a, v) - channels.channel_apply(phi_b, v)
             ))
             worst = max(worst, r)
             if witness is None and r > tol:
@@ -565,8 +562,8 @@ def monoidal_compat_check(
         n = operad.arity(term)
         a = [rng.normal(size=(d_1, d_1)) + 1j * rng.normal(size=(d_1, d_1)) for _ in range(n)]
         b = [rng.normal(size=(d_2, d_2)) + 1j * rng.normal(size=(d_2, d_2)) for _ in range(n)]
-        y_1 = channels.apply_ops(operad.interpret(i_1, term, leaf_dim=d_1), a)
-        y_2 = channels.apply_ops(operad.interpret(i_2, term, leaf_dim=d_2), b)
+        y_1 = operad.evaluate(i_1, term, a, d_1)
+        y_2 = operad.evaluate(i_2, term, b, d_2)
         lhs = channels.channel_apply(product, linalg.kron(y_1, y_2))
         rhs = linalg.kron(
             channels.channel_apply(phi_1, y_1), channels.channel_apply(phi_2, y_2)

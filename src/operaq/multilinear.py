@@ -190,17 +190,11 @@ def contravariant_residual(psi: MultilinearVectorMap, parts) -> float:
 @dataclass(frozen=True)
 class FeedbackProblem:
     """A linear interconnection T: U (+) X -> Y (+) X with the trailing
-    direct summand fed back into itself.
-
-    ports (i, j) name the loop summand's position in the input and output
-    decompositions; with two summands on each side the loop is summand 1
-    on both, which is the default.
-    """
+    direct summand fed back into itself."""
 
     map: MultilinearVectorMap
     input_split: tuple[int, int]  # (dim U, dim X)
     output_split: tuple[int, int]  # (dim Y, dim X)
-    ports: tuple[int, int] = (1, 1)
 
     def __post_init__(self):
         if self.map.arity != 1:
@@ -211,8 +205,6 @@ class FeedbackProblem:
             raise DimensionMismatchError("output split does not sum to the map's output dim")
         if self.input_split[1] != self.output_split[1]:
             raise DimensionMismatchError("loop summand dims differ between input and output")
-        if self.ports != (1, 1):
-            raise DimensionMismatchError("the loop summand is the trailing one on both sides")
 
     def blocks(self):
         u, x = self.input_split

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import channels
+from . import channels, linalg
 from .errors import (
     DimensionMismatchError,
     NonLinearGeneratorError,
@@ -445,6 +445,27 @@ def interpret(interp: Interpretation, t: OperadTerm, leaf_dim: Optional[int] = N
         dims[0],
         _contract(boxes, [0], leaf_wire, dims, grouped=False),
     )
+
+
+def evaluate(interp: Interpretation, t: OperadTerm, args, dim: int) -> np.ndarray:
+    """The term decorated with args[k] at the leaf labeled k, evaluated by
+    structural recursion: each node applies its action to its children's
+    values, and no multimap is built.  The value must be dim x dim; a bare
+    leaf's decoration is checked by nothing else."""
+    t = canonical_form(t)
+    n = len(validate_term(t))
+    if n != len(args):
+        raise DimensionMismatchError(f"term of arity {n} decorated with {len(args)} values")
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            return args[node.slot]
+        return channels.apply_ops(interp.action(node.symbol.name), [walk(c) for c in node.children])
+
+    value = linalg.as_matrix(walk(t))
+    if value.shape != (dim, dim):
+        raise DimensionMismatchError(f"the term's value has shape {value.shape}, expected side {dim}")
+    return value
 
 
 # ---------------------------------------------------------------------------

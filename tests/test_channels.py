@@ -6,7 +6,6 @@ from operaq import channels as ch
 from operaq import ideals, linalg, monad, sampling
 from operaq import multilinear as ml
 from operaq.errors import (
-    DimensionMismatchError,
     InconsistentDilationsError,
     NotCompletelyPositiveError,
 )
@@ -312,35 +311,6 @@ def test_zigzag_check():
     bad = ch.zigzag_check(scaled)
     assert not bad["isometric"]
     assert bad["isometry_defect"] == pytest.approx(abs(1 - 1.5**2), rel=1e-9)
-
-
-def test_normalized_trace_of_unit_is_one():
-    for profile in [(2, 3), (1, 1, 1), (4,)]:
-        alg = ch.FdCStarAlgebra(profile)
-        assert ch.normalized_trace(alg, ch.algebra_unit(alg)) == pytest.approx(1.0)
-
-
-def test_normalized_trace_weights_blocks():
-    rng = np.random.default_rng(21)
-    alg = ch.FdCStarAlgebra((2, 3))
-    blocks = [sampling.ginibre(rng, 2, 2), sampling.ginibre(rng, 3, 3)]
-    elt = ch.block_diagonal(alg, blocks)
-    expected = (2 / 5) * (np.trace(blocks[0]) / 2) + (3 / 5) * (np.trace(blocks[1]) / 3)
-    assert ch.normalized_trace(alg, elt) == pytest.approx(expected)
-
-
-def test_normalized_trace_rejects_off_block_support():
-    alg = ch.FdCStarAlgebra((1, 1))
-    with pytest.raises(DimensionMismatchError):
-        ch.normalized_trace(alg, np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hilb_cstar_roundtrip():
-    alg = ch.hilb_to_cstar(2)
-    assert alg.is_simple
-    assert ch.cstar_to_hilb(alg) == 2
-    with pytest.raises(ValueError):
-        ch.cstar_to_hilb(ch.FdCStarAlgebra((2, 3)))
 
 
 def test_channel_distance_bound():

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +67,21 @@ def test_check_cp_bilinear_includes_slotwise_scan(tmp_path):
     code, rep = invoke(tmp_path, "--command", "check-cp", "--in", path)
     assert code == 0
     assert rep["result"]["slotwise"]["passed"] is True
+
+
+def test_check_cp_decodes_its_input_once(tmp_path, monkeypatch):
+    mm = ch.multimap_from_function(lambda a, b: np.trace(b) * a, (2, 2), 2)
+    path = write(tmp_path, "mm.json", io.encode_multimap(mm))
+    decode, decoded = io.decode_operation, []
+
+    def counting(obj, ctx="operation"):
+        decoded.append(ctx)
+        return decode(obj, ctx)
+
+    monkeypatch.setattr(io, "decode_operation", counting)
+    code, rep = invoke(tmp_path, "--command", "check-cp", "--in", path)
+    assert code == 0 and rep["result"]["slotwise"]["passed"] is True
+    assert decoded == [path]
 
 
 def test_check_tp_catches_subnormalized_map(tmp_path):
@@ -285,6 +302,27 @@ def test_homcheck_identity_passes(tmp_path):
     )
     assert code == 0
     assert rep["result"]["witness"] is None
+
+
+def test_homcheck_wrong_size_decoration_is_an_input_error(tmp_path):
+    # with only a nullary symbol, odd trials draw a bare leaf, whose value
+    # is its decoration: a 1 x 1 image of the carrier must still be refused
+    prep = operad.OperadSymbol("prep", 0)
+    interp = operad.Interpretation(
+        operad.OperadSpec((prep,)),
+        {"prep": ch.OperatorMultiMap((), 2, linalg.vec(np.eye(2) / 2).reshape(-1, 1))},
+        carrier_dim=2,
+    )
+    ipath = write(tmp_path, "interp.json", io.encode_interpretation(interp))
+    trace = write(tmp_path, "tr.json", io.encode_multimap(ch.OperatorMultiMap(
+        (2,), 1, linalg.vec(np.eye(2)).reshape(1, -1)
+    )))
+    code, rep = invoke(
+        tmp_path, "--command", "homcheck", "--in", trace, "--in", ipath, "--in", ipath,
+        "--seed", "0", "--tol", "trials=2",
+    )
+    assert code == 2
+    assert "result" not in rep
 
 
 def test_opequiv_separates_channels(tmp_path):
@@ -512,3 +550,20 @@ def test_deeply_nested_term_is_an_input_error(tmp_path):
     assert code == 2
     assert "nested too deeply" in rep["error"]
     assert "result" not in rep
+
+
+def test_readme_command_table_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        m = re.match(r"\| `([a-z-]+)`(\*?) \|", line)
+        if m:
+            knobs = line.strip().strip("|").split("|")[-1]
+            rows[m.group(1)] = (
+                bool(m.group(2)),
+                {k: float(v) for k, v in re.findall(r"`(\w+)=([^`]+)`", knobs)},
+            )
+    assert set(rows) == set(cli.REGISTRY)
+    assert {name for name, (seeded, _) in rows.items() if seeded} == cli.SEEDED
+    for name, (_, knobs) in rows.items():
+        assert knobs == cli.REGISTRY[name].defaults(), name
