@@ -11,10 +11,6 @@ class DimensionMismatchError(OperaqError, ValueError):
     """Shapes or dimension profiles do not line up."""
 
 
-class SingularMatrixError(OperaqError):
-    """Exact linear solve attempted on a numerically singular matrix."""
-
-
 class IllPosedFeedbackError(OperaqError):
     """The feedback loop map (I - L) is numerically singular."""
 

@@ -17,15 +17,12 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError
 
 RANK_TOL = 1e-9
-HERMITICITY_WARN = 1e-8
 
 
 def as_matrix(m) -> np.ndarray:
@@ -120,33 +117,6 @@ def partial_trace(m, dims, traced_factor: int) -> np.ndarray:
     t = np.trace(t, axis1=traced_factor, axis2=n + traced_factor)
     keep = total // dims[traced_factor]
     return t.reshape(keep, keep)
-
-
-def hermitianize(m, warn_tol: float = HERMITICITY_WARN) -> np.ndarray:
-    m = as_matrix(m)
-    asym = npl.norm(m - dagger(m))
-    if asym > warn_tol * max(1.0, npl.norm(m)):
-        warnings.warn(f"symmetrizing matrix with hermiticity defect {asym:.3e}")
-    return (m + dagger(m)) / 2
-
-
-def solve_linear(a, b, least_squares: bool = False) -> np.ndarray:
-    """Solve a x = b exactly (square a) or in least squares."""
-    a = as_matrix(a)
-    b = as_vector(b)
-    if a.shape[0] != b.size:
-        raise DimensionMismatchError("right-hand side length does not match")
-    if least_squares:
-        x, _, _, _ = npl.lstsq(a, b, rcond=None)
-        return x
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError("exact mode needs a square matrix")
-    svals = npl.svd(a, compute_uv=False)
-    if svals[-1] < 1e-12 * svals[0]:
-        raise SingularMatrixError(
-            f"smallest singular value {svals[-1]:.3e} below 1e-12 of largest {svals[0]:.3e}"
-        )
-    return npl.solve(a, b)
 
 
 def trace_norm(m) -> float:

@@ -349,6 +349,11 @@ def homomorphism_check(
         )
         lhs = out_map(_term_value(alg_a, term, args))
         rhs = _term_value(alg_b, term, tuple(f(a) for a in args))
+        if np.shape(lhs) != np.shape(rhs):
+            raise DimensionMismatchError(
+                f"the homomorphism square compares values of shapes "
+                f"{np.shape(lhs)} and {np.shape(rhs)}"
+            )
         r = float(linalg.frobenius(lhs - rhs))
         worst = max(worst, r)
         if witness is None and r > tol:

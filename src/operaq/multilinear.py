@@ -48,10 +48,6 @@ class MultilinearVectorMap:
         return self.matrix.reshape((self.output_dim,) + self.input_dims)
 
 
-def identity_map(d: int, field: str = "complex") -> MultilinearVectorMap:
-    return MultilinearVectorMap((d,), d, np.eye(d, dtype=complex), field)
-
-
 def from_function(fn, input_dims, output_dim, field: str = "complex") -> MultilinearVectorMap:
     """Build the matrix of a multilinear map by sweeping basis tuples."""
     input_dims = tuple(int(d) for d in input_dims)

@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from operaq import channels as ch
+import operaq
 from operaq import cli, ideals, io, linalg, monad, multilinear, operad, sampling
 
 
@@ -325,6 +329,29 @@ def test_homcheck_wrong_size_decoration_is_an_input_error(tmp_path):
     assert "result" not in rep
 
 
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_homcheck_shape_mismatch_is_an_input_error_at_every_trial_count(tmp_path, trials):
+    # F = trace (2 -> 1) against a nullary carrier-2 symbol: even the first,
+    # corolla-only trial compares a 1 x 1 value with a 2 x 2 one
+    prep = operad.OperadSymbol("prep", 0)
+    interp = operad.Interpretation(
+        operad.OperadSpec((prep,)),
+        {"prep": ch.OperatorMultiMap((), 2, linalg.vec(np.eye(2) / 2).reshape(-1, 1))},
+        carrier_dim=2,
+    )
+    ipath = write(tmp_path, "interp.json", io.encode_interpretation(interp))
+    trace = write(tmp_path, "tr.json", io.encode_multimap(ch.OperatorMultiMap(
+        (2,), 1, linalg.vec(np.eye(2)).reshape(1, -1)
+    )))
+    code, rep = invoke(
+        tmp_path, "--command", "homcheck", "--in", trace, "--in", ipath, "--in", ipath,
+        "--seed", "0", "--tol", f"trials={trials}",
+    )
+    assert code == 2
+    assert "result" not in rep
+    assert "(1, 1)" in rep["error"] and "(2, 2)" in rep["error"]
+
+
 def test_opequiv_separates_channels(tmp_path):
     interp_path = write(tmp_path, "interp.json", qubit_interp_obj())
     ident = write(tmp_path, "id.json", io.encode_channel(ch.identity_channel(2)))
@@ -567,3 +594,23 @@ def test_readme_command_table_matches_the_registry():
     assert {name for name, (seeded, _) in rows.items() if seeded} == cli.SEEDED
     for name, (_, knobs) in rows.items():
         assert knobs == cli.REGISTRY[name].defaults(), name
+
+
+def test_cli_import_loads_only_numpy_beyond_the_standard_library():
+    # every command pays the import, so a heavy dependency shows as set-up time
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import operaq.cli\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    src = str(Path(operaq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    loaded = set(json.loads(out.stdout))
+    assert "operaq" in loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"numpy", "operaq"}

@@ -204,7 +204,9 @@ def test_closure_holds_on_random_cptp_pool():
     pool.append(ch.multimap_from_function(lambda a, b: 0.5 * (np.trace(b) * a + np.trace(a) * b), (2, 2), 2))
     report = ideals.closure_check(NON_ISO, pool, trials=300, seed=5)
     assert report["passed"]
+    assert report["vacuous"] is False
     assert report["checks"] >= 290
+    assert report["checks"] + report["skipped"] == 300
     assert report["violations"] == []
     assert "sampled" in report["note"]
 
@@ -215,7 +217,9 @@ def test_closure_vacuous_without_members():
     report = ideals.closure_check(NON_ISO, pool, trials=50)
     assert report["passed"]
     assert report["vacuous"]
-    assert report["checks"] == 0
+    assert report["checks"] == report["skipped"] == 0
+    pool.append(ch.depolarizing_channel(2, 0.5))
+    assert set(ideals.closure_check(NON_ISO, pool, trials=50)) == set(report)
 
 
 def test_closure_detects_certificate_lists_that_are_not_ideals():
@@ -228,6 +232,158 @@ def test_closure_detects_certificate_lists_that_are_not_ideals():
     assert report["violations"]
     first = report["violations"][0]
     assert first["clause"] in ("outer-composition", "pre-composition")
+
+
+def oracle_closure_check(spec, pool, trials, seed):
+    """The per-trial closure loop: every sampled context composed and
+    tested afresh."""
+
+    def pick(rng, items, out_dim):
+        choices = [x for x in items if x.output_operator_dim == out_dim]
+        if not choices:
+            return None
+        return choices[int(rng.integers(len(choices)))]
+
+    items = [ideals._as_multimap(x) for x in pool]
+    members = [x for x in items if ideals.is_member(spec, x)["member"]]
+    if not members:
+        return {
+            "trials": 0, "checks": 0, "skipped": 0, "violations": [], "passed": True,
+            "vacuous": True, "note": ideals.SAMPLING_NOTE,
+        }
+    rng = np.random.default_rng(seed)
+    clauses = ("outer-composition", "pre-composition", "symmetric-action")
+    checks = skipped = 0
+    violations = []
+    for trial in range(trials):
+        clause = clauses[trial % 3]
+        f = members[int(rng.integers(len(members)))]
+        comp = None
+        if clause == "outer-composition":
+            parts = [pick(rng, items, din) for din in f.input_operator_dims]
+            if all(p is not None for p in parts):
+                comp = operad._compose_multimaps(f, parts)
+        elif clause == "pre-composition":
+            h = items[int(rng.integers(len(items)))]
+            slots = [
+                k for k, din in enumerate(h.input_operator_dims)
+                if din == f.output_operator_dim
+            ]
+            if slots:
+                slot = slots[int(rng.integers(len(slots)))]
+                parts = [
+                    f if k == slot else pick(rng, items, din)
+                    for k, din in enumerate(h.input_operator_dims)
+                ]
+                if all(p is not None for p in parts):
+                    comp = operad._compose_multimaps(h, parts)
+        else:
+            comp = ideals.sigma_multimap(f, rng.permutation(f.arity))
+        if comp is None:
+            skipped += 1
+            continue
+        checks += 1
+        verdict = ideals.is_member(spec, comp)
+        if not verdict["member"]:
+            violations.append(
+                {"trial": trial, "clause": clause, "evidence": verdict["evidence"]}
+            )
+    return {
+        "trials": trials, "checks": checks, "skipped": skipped, "violations": violations,
+        "passed": not violations, "vacuous": False, "note": ideals.SAMPLING_NOTE,
+    }
+
+
+def bilinear_cp(rng, d1, d2, out):
+    """(a, b) -> Phi(a (x) b) for a random channel Phi."""
+    phi = sampling.random_channel(rng, d1 * d2, out)
+    return ch.multimap_from_function(
+        lambda a, b: ch.channel_apply(phi, np.kron(a, b)), (d1, d2), out
+    )
+
+
+@st.composite
+def closure_pools(draw):
+    """A CP pool with duplicates, non-members (unitaries, isometries) and
+    entries whose output feeds no slot, plus a spec over it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    dim, small = st.sampled_from((2, 1, 3)), st.sampled_from((2, 1))
+    kinds = st.one_of(
+        st.tuples(st.just("chan"), dim, dim, st.integers(2, 3)),
+        st.tuples(st.just("unitary"), st.integers(2, 3)),
+        st.tuples(st.just("bilinear"), small, small, small),
+    )
+    pool = []
+    for kind in draw(st.lists(kinds, min_size=2, max_size=4)):
+        if kind[0] == "chan":
+            pool.append(sampling.random_channel(rng, kind[1], kind[2], kraus_rank=kind[3]))
+        elif kind[0] == "unitary":
+            pool.append(unitary_channel(sampling.random_unitary(rng, kind[1])))
+        else:
+            pool.append(bilinear_cp(rng, *kind[1:]))
+    pool += [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))]
+    which = draw(st.sampled_from(("noniso", "cert", "clone")))
+    if which == "noniso":
+        spec = NON_ISO
+    elif which == "clone":
+        spec = ideals.IdealSpec("clone", "evaluates-to-cloning-context")
+    else:
+        flags = draw(st.lists(st.sampled_from((1, 0, 2)), min_size=len(pool), max_size=len(pool)))
+        spec = ideals.IdealSpec(
+            "cert", "certificate-list",
+            members=tuple(p for p, f in zip(pool, flags) if f == 1),
+            non_members=tuple(p for p, f in zip(pool, flags) if f == 2),
+        )
+    return spec, pool
+
+
+@settings(max_examples=40, deadline=None)
+@given(closure_pools(), st.integers(0, 60), st.integers(0, 2**32 - 1))
+def test_closure_check_matches_per_trial_oracle(spec_pool, trials, seed):
+    spec, pool = spec_pool
+    assert ideals.closure_check(spec, pool, trials, seed) == oracle_closure_check(
+        spec, pool, trials, seed
+    )
+
+
+def _counting_is_member(monkeypatch):
+    """Patch is_member to record every operation it is asked about."""
+    seen = []
+    is_member = ideals.is_member
+
+    def counted(spec, op, *args, **kwargs):
+        mm = ideals._as_multimap(op)
+        seen.append((mm.input_operator_dims, mm.output_operator_dim, mm.action_matrix.tobytes()))
+        return is_member(spec, op, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "is_member", counted)
+    return seen
+
+
+def test_closure_check_tests_each_distinct_context_once(monkeypatch):
+    rng = np.random.default_rng(31)
+    pool = [sampling.random_channel(rng, 2, 2) for _ in range(3)]
+    pool += [bilinear_cp(rng, 2, 2, 2), unitary_channel(sampling.random_unitary(rng, 2))]
+    seen = _counting_is_member(monkeypatch)
+    want = oracle_closure_check(NON_ISO, pool, 300, 3)
+    # generic maps: distinct contexts give distinct composites
+    distinct = len(set(seen[len(pool):]))
+    assert distinct < want["checks"]
+    seen.clear()
+    assert ideals.closure_check(NON_ISO, pool, 300, 3) == want
+    assert len(seen) == len(pool) + distinct
+
+
+def test_closure_check_repeats_violations_of_a_repeated_context(monkeypatch):
+    rng = np.random.default_rng(9)
+    dep = ch.depolarizing_channel(2, 0.5)
+    spec = ideals.IdealSpec("only-dep", "certificate-list", members=(dep,))
+    pool = [dep, unitary_channel(sampling.random_unitary(rng, 2))]
+    want = oracle_closure_check(spec, pool, 60, 1)
+    seen = _counting_is_member(monkeypatch)
+    report = ideals.closure_check(spec, pool, trials=60, seed=1)
+    assert report == want
+    assert len(report["violations"]) > len(seen) - len(pool)
 
 
 def qubit_interp(extra=()):

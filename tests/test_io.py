@@ -66,7 +66,7 @@ def test_operation_sniffing():
     )
     ks = ch.KrausSet((np.eye(2, dtype=complex),))
     assert isinstance(io.decode_operation(io.encode_kraus(ks)), ch.KrausSet)
-    phi = multilinear.identity_map(2)
+    phi = multilinear.MultilinearVectorMap((2,), 2, np.eye(2, dtype=complex))
     assert isinstance(
         io.decode_operation(io.encode_multilinear_map(phi)),
         multilinear.MultilinearVectorMap,

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from operaq import channels as ch
 from operaq import ideals, linalg, operad, sampling
-from operaq.errors import SingularMatrixError
 
 
 def test_vec_unvec_roundtrip():
@@ -51,27 +50,6 @@ def test_partial_trace_three_factors():
     big = linalg.kron_all(ms)
     got = linalg.partial_trace(linalg.partial_trace(big, (2, 2, 3), 2), (2, 2), 0)
     assert np.allclose(got, ms[1] * np.trace(ms[0]) * np.trace(ms[2]), atol=1e-11)
-
-
-def test_hermitianize_warns_on_asymmetry():
-    with pytest.warns(UserWarning):
-        linalg.hermitianize(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    sym = linalg.hermitianize(np.array([[1.0, 1e-12j], [-1e-12j, 2.0]]))
-    assert np.allclose(sym, sym.conj().T)
-
-
-def test_solve_linear_exact_and_singular():
-    a = np.array([[2.0, 0.0], [0.0, 4.0]])
-    x = linalg.solve_linear(a, np.array([2.0, 8.0]))
-    assert np.allclose(x, [1.0, 2.0])
-    with pytest.raises(SingularMatrixError):
-        linalg.solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
-
-
-def test_solve_linear_least_squares():
-    a = np.array([[1.0], [1.0]])
-    x = linalg.solve_linear(a, np.array([0.0, 2.0]), least_squares=True)
-    assert np.allclose(x, [1.0])
 
 
 def test_trace_norm_and_op_norm():

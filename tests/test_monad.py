@@ -296,6 +296,22 @@ def test_homomorphism_out_map_pair():
     assert report["passed"]
 
 
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_homomorphism_refuses_values_of_different_shapes(trials):
+    # a nullary carrier-2 symbol and F = trace: the square would compare a
+    # 1 x 1 value with a 2 x 2 one, which must not broadcast into a residual
+    prep = op.OperadSymbol("prep", 0)
+    alg = monad.algebra_from_interpretation(op.Interpretation(
+        op.OperadSpec((prep,)),
+        {"prep": ch.OperatorMultiMap((), 2, linalg.vec(np.eye(2) / 2).reshape(-1, 1))},
+        carrier_dim=2,
+    ))
+    with pytest.raises(DimensionMismatchError, match=r"\(1, 1\) and \(2, 2\)"):
+        monad.homomorphism_check(
+            lambda x: np.trace(x).reshape(1, 1), alg, alg, trials=trials, seed=0
+        )
+
+
 def test_representation_dim_check():
     rng = np.random.default_rng(15)
     interp = cp_interpretation(rng)
