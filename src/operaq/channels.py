@@ -223,9 +223,13 @@ def multilinear_choi(mm: OperatorMultiMap) -> np.ndarray:
     return t.transpose(rows + cols).reshape(side, side)
 
 
+def _choi_eigenvalues(ch: QuantumChannel) -> np.ndarray:
+    """Ascending spectrum of the Choi matrix's Hermitian part, no vectors."""
+    return npl.eigvalsh((ch.choi + linalg.dagger(ch.choi)) / 2)
+
+
 def choi_min_eigenvalue(ch: QuantumChannel) -> float:
-    herm = (ch.choi + linalg.dagger(ch.choi)) / 2
-    return float(npl.eigvalsh(herm)[0])
+    return float(_choi_eigenvalues(ch)[0])
 
 
 def is_cp(ch: QuantumChannel, tol: float = 1e-10) -> bool:
@@ -313,8 +317,7 @@ def kraus_from_choi(ch: QuantumChannel, rank_tol: float = 1e-10) -> KrausSet:
 
 
 def kraus_rank(ch: QuantumChannel, rank_tol: float = 1e-10) -> int:
-    herm = (ch.choi + linalg.dagger(ch.choi)) / 2
-    vals = npl.eigvalsh(herm)
+    vals = _choi_eigenvalues(ch)
     return int(np.sum(vals > rank_tol * max(1.0, float(vals[-1]))))
 
 
@@ -381,23 +384,6 @@ def rep_apply(rep: StarRepresentation, a) -> np.ndarray:
     if a.shape != (rep.algebra_dim,) * 2:
         raise DimensionMismatchError("element does not match the represented algebra")
     return np.einsum("kl,klxy->xy", a, rep.images)
-
-
-def representation_defects(rep: StarRepresentation) -> dict:
-    d = rep.algebra_dim
-    im = rep.images
-    mult = 0.0
-    for k in range(d):
-        for l in range(d):
-            for p in range(d):
-                for q in range(d):
-                    target = im[k, q] if l == p else np.zeros_like(im[0, 0])
-                    mult = max(mult, float(np.max(np.abs(im[k, l] @ im[p, q] - target))))
-    star = max(
-        float(np.max(np.abs(linalg.dagger(im[k, l]) - im[l, k]))) for k in range(d) for l in range(d)
-    )
-    unit = float(np.max(np.abs(sum(im[k, k] for k in range(d)) - np.eye(rep.carrier_dim))))
-    return {"multiplicativity": mult, "star": star, "unitality": unit}
 
 
 def factor_representation(d: int, multiplicity: int, left_dim: int = 1, right_dim: int = 1) -> StarRepresentation:

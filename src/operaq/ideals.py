@@ -83,13 +83,17 @@ def _as_multimap(op) -> channels.OperatorMultiMap:
 
 def grouped_channel(mm: channels.OperatorMultiMap) -> channels.QuantumChannel:
     """The channel on the tensor product space that a multimap induces by
-    grouping its slots."""
+    grouping its slots.
+
+    Split into (column, row) axes per factor, the action has axes
+    (out col, out row, col_1, row_1, ...); the grouped Choi matrix has rows
+    (row_1, ..., out row) and columns (col_1, ..., out col), so it is one
+    transpose of the action."""
     din = int(np.prod(mm.input_operator_dims)) if mm.input_operator_dims else 1
-    slots = range(1, mm.arity + 1)
-    s = operad._contract([(0, slots, mm)], [0], slots, [mm.output_operator_dim], grouped=True)
-    return channels.QuantumChannel(
-        din, mm.output_operator_dim, channels.superop_to_choi(s, din, mm.output_operator_dim)
-    )
+    m = mm.output_operator_dim
+    t = mm.action_matrix.reshape([m, m] + [d for d in mm.input_operator_dims for _ in "cr"])
+    order = list(range(3, t.ndim, 2)) + [1] + list(range(2, t.ndim, 2)) + [0]
+    return channels.QuantumChannel(din, m, t.transpose(order).reshape(din * m, din * m))
 
 
 def _same_operation(a: channels.OperatorMultiMap, b, tol: float = 1e-10) -> bool:
@@ -103,10 +107,14 @@ def _same_operation(a: channels.OperatorMultiMap, b, tol: float = 1e-10) -> bool
 
 
 def is_member(spec: IdealSpec, op, tol: float = 1e-9) -> dict:
-    """Predicate verdict with evidence; the domain is CP operations."""
+    """Predicate verdict with evidence; the domain is CP operations.
+
+    CP and the Kraus rank (the number of Choi eigenvalues above
+    1e-10 * max(1, largest)) come from one eigenvalue-only spectrum; only a
+    rank of at most one takes the eigenvectors, for the isometry defect."""
     mm = _as_multimap(op)
     chan = grouped_channel(mm)
-    vals, ks = channels._choi_spectrum(chan)
+    vals = channels._choi_eigenvalues(chan)
     bad = float(vals[0])
     if bad < -1e-10:
         raise NotCompletelyPositiveError(
@@ -114,10 +122,11 @@ def is_member(spec: IdealSpec, op, tol: float = 1e-9) -> dict:
             min_eigenvalue=bad,
         )
     if spec.predicate == "non-isometric":
-        rank = len(ks.operators)
+        rank = int(np.sum(vals > 1e-10 * max(1.0, float(vals[-1]))))
         defect = None
-        if rank == 1:
-            k = ks.operators[0]
+        if rank <= 1:
+            # the dominant Kraus operator, the zero operator for the zero map
+            k = channels._choi_spectrum(chan)[1].operators[-1]
             defect = float(
                 linalg.op_norm(linalg.dagger(k) @ k - np.eye(chan.in_dim))
             )

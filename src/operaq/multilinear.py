@@ -136,10 +136,6 @@ def compose(psi: MultilinearVectorMap, parts) -> MultilinearVectorMap:
     return MultilinearVectorMap(in_dims, psi.output_dim, psi.matrix @ block, field)
 
 
-def operator_norm(phi: MultilinearVectorMap) -> float:
-    return linalg.op_norm(phi.matrix)
-
-
 def contravariant_residual(psi: MultilinearVectorMap, parts) -> float:
     """Max over basis tuples of |LHS - RHS| for the adjoint-of-composite
     identity: LHS evaluates [Psi o (Phi_...)]^dag directly, RHS routes the

@@ -1,4 +1,5 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -86,22 +87,165 @@ def test_membership_rank_and_defect_follow_the_relative_cut(d, eps, seed):
         )
 
 
-def test_membership_takes_one_choi_eigendecomposition(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
+def _count_spectra(monkeypatch):
+    """Patch eigh and eigvalsh to record the side of every matrix they see."""
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, calls_of in calls.items():
+        solve = getattr(np.linalg, name)
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
+        def counted(a, *args, solve=solve, calls_of=calls_of, **kwargs):
+            calls_of.append(a.shape)
+            return solve(a, *args, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("membership took a second, eigenvalue-only spectrum")
+        monkeypatch.setattr(ch.npl, name, counted)
+    return calls
 
-    monkeypatch.setattr(ch.npl, "eigh", counted)
-    monkeypatch.setattr(ch.npl, "eigvalsh", refuse)
+
+def test_membership_of_a_rank_four_map_takes_one_eigenvalue_only_spectrum(monkeypatch):
+    calls = _count_spectra(monkeypatch)
     v = ideals.is_member(NON_ISO, ch.depolarizing_channel(2, 0.5))
     assert v["evidence"]["kraus_rank"] == 4
-    assert calls == [(4, 4)]
+    assert calls == {"eigh": [], "eigvalsh": [(4, 4)]}
+
+
+def test_membership_of_a_unitary_takes_eigenvectors_once(monkeypatch):
+    u = unitary_channel(sampling.random_unitary(np.random.default_rng(4), 3))
+    calls = _count_spectra(monkeypatch)
+    v = ideals.is_member(NON_ISO, u)
+    assert v["evidence"]["kraus_rank"] == 1
+    assert calls == {"eigh": [(9, 9)], "eigvalsh": [(9, 9)]}
+
+
+def test_zero_map_has_kraus_rank_zero_and_is_a_member():
+    zero = ch.OperatorMultiMap((2,), 3, np.zeros((9, 4)))
+    v = ideals.is_member(NON_ISO, zero)
+    assert v == {"member": True, "evidence": {"kraus_rank": 0, "isometry_defect": 1.0}}
+    assert ch.kraus_rank(ideals.grouped_channel(zero)) == 0
+
+
+# ---------------------------------------------------------------------------
+# oracles: grouping through the contraction, membership from one full eigh
+
+
+def oracle_grouped_channel(mm):
+    din = int(np.prod(mm.input_operator_dims)) if mm.input_operator_dims else 1
+    slots = range(1, mm.arity + 1)
+    s = operad._contract([(0, slots, mm)], [0], slots, [mm.output_operator_dim], grouped=True)
+    return ch.QuantumChannel(
+        din, mm.output_operator_dim, ch.superop_to_choi(s, din, mm.output_operator_dim)
+    )
+
+
+def oracle_is_member(spec, op, tol=1e-9):
+    mm = ideals._as_multimap(op)
+    chan = oracle_grouped_channel(mm)
+    vals, ks = ch._choi_spectrum(chan)
+    bad = float(vals[0])
+    if bad < -1e-10:
+        raise NotCompletelyPositiveError("not CP", min_eigenvalue=bad)
+    if spec.predicate == "non-isometric":
+        ops = ks.operators
+        if not np.any(ops[0]):
+            ops = ()  # the zero operator padding an empty Kraus set
+        defect = None
+        if len(ops) <= 1:
+            k = ks.operators[0]
+            defect = float(linalg.op_norm(linalg.dagger(k) @ k - np.eye(chan.in_dim)))
+        member = len(ops) > 1 or defect > tol
+        return {"member": member, "evidence": {"kraus_rank": len(ops), "isometry_defect": defect}}
+    if spec.predicate == "certificate-list":
+        for entry in spec.members:
+            if ideals._same_operation(mm, entry):
+                return {"member": True, "evidence": {"matched": "members"}}
+        for entry in spec.non_members:
+            if ideals._same_operation(mm, entry):
+                return {"member": False, "evidence": {"matched": "non_members"}}
+        return {"member": False, "evidence": {"matched": None}}
+    if mm.arity != 1 or mm.output_operator_dim != mm.input_operator_dims[0] ** 2:
+        return {"member": False, "evidence": {"reason": "signature is not (d; d x d)"}}
+    d = mm.input_operator_dims[0]
+    worst = 0.0
+    for p in ideals.broadcast_frame(d):
+        out = ch.apply_ops(mm, [p])
+        worst = max(worst, float(linalg.frobenius(out - np.kron(p, p))))
+    return {"member": worst <= 1e-8, "evidence": {"max_frame_residual": worst}}
+
+
+def ungrouped(chan, dims):
+    """The multimap on slots of the given dims whose grouping is chan."""
+    s = ch.superop_of(chan)
+    action = np.empty_like(s)
+    action[:, linalg.mingle_index(dims)] = s
+    return ch.OperatorMultiMap(dims, chan.out_dim, action)
+
+
+SLOT_DIMS = st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+    lambda dims: np.prod(dims) <= 9
+)
+
+
+@st.composite
+def cp_operations(draw):
+    """CP channels and multimaps of Kraus rank 1-4 on dims 1-3, and
+    isometries with a random channel mixed in at weight 0, 1e-9, 1e-7 or 0.3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    dims = draw(SLOT_DIMS)
+    din = int(np.prod(dims))
+    out = draw(st.sampled_from((1, 2, 3, din * din if len(dims) == 1 else 3)))
+    if draw(st.booleans()):
+        chan = sampling.random_channel(rng, din, out, kraus_rank=draw(st.integers(1, 4)))
+    else:
+        out = max(out, din)
+        v = sampling.random_isometry(rng, out, din)
+        eps = draw(st.sampled_from((0.0, 1e-9, 1e-7, 0.3)))
+        noise = sampling.random_channel(rng, din, out).choi
+        chan = ch.QuantumChannel(din, out, (1 - eps) * ch.choi_of(ch.KrausSet((v,))).choi + eps * noise)
+    return chan if draw(st.booleans()) else ungrouped(chan, tuple(dims))
+
+
+def membership_specs(op, other):
+    cert = ideals.IdealSpec("cert", "certificate-list", members=(other,), non_members=(op,))
+    return (NON_ISO, cert, ideals.IdealSpec("clone", "evaluates-to-cloning-context"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cp_operations(), cp_operations())
+def test_is_member_matches_the_eigh_oracle(op, other):
+    for spec in membership_specs(op, other):
+        want = oracle_is_member(spec, op)
+        if oracle_is_member(NON_ISO, op)["evidence"]["kraus_rank"] > 1:
+            # above rank one neither the contraction nor eigenvectors are needed
+            with mock.patch.object(operad, "_contract", side_effect=AssertionError), \
+                    mock.patch.object(ch.npl, "eigh", side_effect=AssertionError):
+                got = ideals.is_member(spec, op)
+        else:
+            got = ideals.is_member(spec, op)
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(SLOT_DIMS, st.integers(1, 3), st.integers(0, 2**31 - 1), st.booleans())
+def test_non_cp_input_is_refused_like_the_oracle(dims, out, seed, grouped):
+    rng = np.random.default_rng(seed)
+    din = int(np.prod(dims))
+    choi = sampling.random_density(rng, din * out)
+    v = sampling.random_pure(rng, din * out)
+    chan = ch.QuantumChannel(din, out, choi - 2 * np.outer(v, v.conj()))
+    op = chan if grouped else ungrouped(chan, tuple(dims))
+    for member in (oracle_is_member, ideals.is_member):
+        with pytest.raises(NotCompletelyPositiveError):
+            member(NON_ISO, op)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=4), st.integers(1, 3), st.integers(0, 2**31 - 1))
+def test_grouped_channel_equals_the_contraction_bitwise(dims, out, seed):
+    rng = np.random.default_rng(seed)
+    cols = int(np.prod([d * d for d in dims])) if dims else 1
+    mm = ch.OperatorMultiMap(tuple(dims), out, sampling.ginibre(rng, out * out, cols))
+    got, want = ideals.grouped_channel(mm), oracle_grouped_channel(mm)
+    assert (got.in_dim, got.out_dim) == (want.in_dim, want.out_dim)
+    assert np.array_equal(got.choi, want.choi)
 
 
 def test_membership_of_bilinear_map_goes_through_grouping():
