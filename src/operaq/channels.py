@@ -199,7 +199,11 @@ def superop_of(ch: QuantumChannel) -> np.ndarray:
 
 
 def channel_apply(ch: QuantumChannel, rho) -> np.ndarray:
-    return linalg.unvec(superop_of(ch) @ linalg.vec(rho), ch.out_dim)
+    """Phi(rho)[a, b] = sum_ij rho[i, j] C[(i, a), (j, b)], contracted on a
+    view of the Choi matrix."""
+    d, m = ch.in_dim, ch.out_dim
+    rho = linalg.unvec(linalg.vec(rho), d, d)
+    return linalg.as_matrix(np.einsum("ij,iajb->ab", rho, ch.choi.reshape(d, m, d, m)))
 
 
 def channel_multimap(ch: QuantumChannel) -> OperatorMultiMap:
@@ -676,11 +680,17 @@ def channel_distance_bound(a: QuantumChannel, b: QuantumChannel) -> float:
 
 
 def channel_kron(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
-    s = linalg.superop_kron(
-        [superop_of(a), superop_of(b)], (a.in_dim, b.in_dim), (a.out_dim, b.out_dim)
+    """C[(i k, p q), (j l, r s)] = C_a[(i, p), (j, r)] C_b[(k, q), (l, s)],
+    the outer product written straight into the product's layout."""
+    (d1, m1), (d2, m2) = (a.in_dim, a.out_dim), (b.in_dim, b.out_dim)
+    out = np.empty((d1, d2, m1, m2) * 2, dtype=complex)
+    np.multiply(
+        a.choi.reshape(d1, 1, m1, 1, d1, 1, m1, 1),
+        b.choi.reshape(1, d2, 1, m2, 1, d2, 1, m2),
+        out=out,
     )
-    d, m = a.in_dim * b.in_dim, a.out_dim * b.out_dim
-    return QuantumChannel(d, m, superop_to_choi(s, d, m))
+    side = d1 * d2 * m1 * m2
+    return QuantumChannel(d1 * d2, m1 * m2, out.reshape(side, side))
 
 
 def identity_channel(d: int) -> QuantumChannel:

@@ -115,10 +115,10 @@ def cmd_choi(objs, paths, tol, seed):
 def cmd_kraus(objs, paths, tol, seed):
     ch = _as_channel(objs[0], paths[0])
     ks = channels.kraus_from_choi(ch)
-    return (
-        {"channel": io.encode_channel(ch, "kraus"), "kraus_rank": len(ks.operators)},
-        True,
-    )
+    # the rank counts the kept eigenvalues, not the zero operator that
+    # stands in for an empty Kraus set
+    rank = sum(1 for k in ks.operators if k.any())
+    return {"channel": io.encode_channel(ch, "kraus", ks), "kraus_rank": rank}, True
 
 
 def cmd_dilate(objs, paths, tol, seed):

@@ -367,15 +367,6 @@ def quotient(t, spec: IdealSpec, interp: operad.Interpretation, leaf_dim: Option
     return out
 
 
-def quotient_gamma(f, parts, d: int, out_dim: Optional[int] = None):
-    """Composition of quotient terms: graft as usual, then collapse if any
-    bottom class is involved anywhere."""
-    out = operad.gamma(f, parts)
-    if contains_bottom(out):
-        return _bottom_apply(operad.leaf_labels(out), d, out_dim)
-    return out
-
-
 def adjoin_formal(spec: operad.OperadSpec, gen: FormalGenerator) -> operad.OperadSpec:
     """Extend an operad with a syntax-only generator of signature (d; d*d).
 

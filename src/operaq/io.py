@@ -103,11 +103,13 @@ def decode_multimap(obj, ctx: str = "multimap") -> channels.OperatorMultiMap:
     return channels.OperatorMultiMap(dims, out, action)
 
 
-def encode_channel(ch: channels.QuantumChannel, form: str = "choi") -> dict:
+def encode_channel(ch: channels.QuantumChannel, form: str = "choi", kraus=None) -> dict:
+    """form "kraus" writes the given Kraus set, or kraus_from_choi(ch)."""
     if form == "choi":
         data = encode_matrix(ch.choi)
     elif form == "kraus":
-        data = [encode_matrix(k) for k in channels.kraus_from_choi(ch).operators]
+        ks = channels.kraus_from_choi(ch) if kraus is None else kraus
+        data = [encode_matrix(k) for k in ks.operators]
     else:
         raise SchemaError(f"channel: unknown repr {form!r}")
     return {

@@ -11,8 +11,9 @@ Conventions fixed here and used everywhere else:
     A[src] and A @ P is A[:, np.argsort(src)].  The dense builders
     factor_permutation and mingle are kept only where the explicit matrix
     is wanted (test oracles, demos); no computation multiplies by one;
-  * superop_kron serves channel_kron only: terms, circuits and composites
-    are contracted wire by wire in operad, never kron'd whole.
+  * no joint superoperator is kron'd whole: channel products and
+    applications contract the Choi matrix (channels), and terms, circuits
+    and composites are contracted wire by wire (operad).
 """
 
 from __future__ import annotations
@@ -174,13 +175,3 @@ def factor_permutation(dims, perm) -> np.ndarray:
 def mingle(dims) -> np.ndarray:
     """Dense matrix of mingle_index, for explicit-matrix use."""
     return _permutation_matrix(mingle_index(dims))
-
-
-def superop_kron(superops, dims_in, dims_out) -> np.ndarray:
-    """Joint vec-side matrix of a tensor product of operator maps.
-
-    superops[i] sends vec(M_{dims_in[i]}) to vec(M_{dims_out[i]}); the result
-    acts on vec of the joint operator space M_{prod dims_in}.  It equals
-    mingle(dims_out) @ kron_all(superops) @ mingle(dims_in).T.
-    """
-    return kron_all(superops)[np.ix_(mingle_index(dims_out), mingle_index(dims_in))]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from operaq import channels as ch
 from operaq import ideals, linalg, monad, sampling
 from operaq import multilinear as ml
+from operaq import operad as op
 from operaq.errors import (
     InconsistentDilationsError,
     NotCompletelyPositiveError,
 )
+from oracles import superop_kron
 
 
 def representation_defects(rep):
@@ -360,6 +364,117 @@ def test_channel_kron_acts_factorwise():
     lhs = ch.channel_apply(joint, linalg.kron(r1, r2))
     rhs = linalg.kron(ch.channel_apply(a, r1), ch.channel_apply(b, r2))
     assert np.allclose(lhs, rhs, atol=1e-11)
+
+
+# the superoperator constructions channel_kron and channel_apply replaced
+
+
+def old_channel_kron(a, b):
+    s = superop_kron(
+        [ch.superop_of(a), ch.superop_of(b)], (a.in_dim, b.in_dim), (a.out_dim, b.out_dim)
+    )
+    d, m = a.in_dim * b.in_dim, a.out_dim * b.out_dim
+    return ch.QuantumChannel(d, m, ch.superop_to_choi(s, d, m))
+
+
+def old_channel_apply(phi, rho):
+    return linalg.unvec(ch.superop_of(phi) @ linalg.vec(rho), phi.out_dim)
+
+
+def draw_channel(data, rng):
+    d, m, r = (data.draw(st.integers(1, 3)) for _ in range(3))
+    return sampling.random_channel(rng, d, m, kraus_rank=r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_channel_kron_equals_the_superop_construction_bitwise(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    a, b = draw_channel(data, rng), draw_channel(data, rng)
+    got, want = ch.channel_kron(a, b), old_channel_kron(a, b)
+    assert (got.in_dim, got.out_dim) == (want.in_dim, want.out_dim)
+    assert np.array_equal(got.choi, want.choi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_channel_apply_matches_the_superop_construction(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    phi = draw_channel(data, rng)
+    if data.draw(st.booleans()):
+        phi = ch.channel_kron(phi, draw_channel(data, rng))
+    rho = sampling.ginibre(rng, phi.in_dim, phi.in_dim)
+    got = ch.channel_apply(phi, rho)
+    tol = 1e-12 * linalg.frobenius(phi.choi) * linalg.frobenius(rho)
+    assert got.shape == (phi.out_dim, phi.out_dim)
+    assert np.allclose(got, old_channel_apply(phi, rho), rtol=0, atol=tol)
+
+
+def test_products_and_applications_build_no_superoperator(monkeypatch):
+    rng = np.random.default_rng(24)
+    f, g = op.OperadSymbol("f", 2), op.OperadSymbol("g", 1)
+    interp = op.Interpretation(
+        op.OperadSpec((f, g)),
+        {
+            "f": ch.OperatorMultiMap((2, 2), 2, sampling.ginibre(rng, 4, 16)),
+            "g": ch.channel_multimap(sampling.random_channel(rng, 2, 2)),
+        },
+        carrier_dim=2,
+    )
+    phi_a, phi_b = sampling.random_channel(rng, 2, 3), sampling.random_channel(rng, 2, 2)
+    term = op.Apply(f, (op.Apply(g, (op.Leaf(0),)), op.Leaf(1)))
+    elem = monad.MonadElement(((1.0, term, (sampling.ginibre(rng, 2, 2),) * 2),))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("superoperator built on a Choi-side path")
+
+    monkeypatch.setattr(ch, "choi_to_superop", refuse)
+    monkeypatch.setattr(ch, "superop_of", refuse)
+    assert ch.channel_kron(phi_a, phi_b).choi.shape == (24, 24)
+    assert ch.channel_apply(phi_a, np.eye(2)).shape == (3, 3)
+    assert monad.monoidal_compat_check(phi_a, phi_b, interp, trials=4, seed=1)["trials"] == 4
+    assert "equivalent" in monad.operational_equivalence(phi_b, phi_b, interp, term_trials=4)
+    alg = monad.AlgebraMap(interp, 2, post=phi_a)
+    assert monad.algebra_eval(alg, elem).shape == (3, 3)
+
+
+def test_channel_kron_allocates_about_one_product_choi_matrix():
+    rng = np.random.default_rng(25)
+    a, b = sampling.random_channel(rng, 4, 4), sampling.random_channel(rng, 4, 4)
+    tracemalloc.start()
+    try:
+        product = ch.channel_kron(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the product itself, the finiteness mask its constructor checks and the
+    # ufunc's fixed-size buffer; a superoperator copy would double it
+    assert peak <= 1.1 * product.choi.nbytes + 2**19
+
+
+def test_channel_apply_refuses_a_state_of_the_wrong_size():
+    phi = ch.identity_channel(2)
+    for rho in (np.eye(3), np.ones(3), np.ones((1, 5))):
+        with pytest.raises(ValueError):
+            ch.channel_apply(phi, rho)
+    # as before, any array with d*d entries is read column-stacked
+    flat = np.array([1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(ch.channel_apply(phi, flat), linalg.unvec(flat, 2))
+
+
+def test_non_finite_choi_matrices_and_images_are_refused():
+    bad = ch.identity_channel(2).choi.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        ch.QuantumChannel(2, 2, bad)
+    huge = ch.QuantumChannel(2, 2, 1e308 * ch.identity_channel(2).choi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            ch.channel_apply(huge, 10 * np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            ch.channel_apply(ch.identity_channel(2), np.array([[np.inf, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="finite"):
+            ch.channel_kron(huge, huge)
 
 
 def rotated(dil, w):

@@ -108,9 +108,23 @@ def test_choi_and_kraus_roundtrip(tmp_path):
 
     code, rep = invoke(tmp_path, "--command", "kraus", "--in", path)
     assert code == 0
-    assert rep["result"]["kraus_rank"] >= 1
+    assert rep["result"]["kraus_rank"] == ch.kraus_rank(phi)
     back = io.decode_channel(rep["result"]["channel"])
     assert linalg.frobenius(back.choi - phi.choi) < 1e-10
+
+
+def test_kraus_of_the_zero_channel_has_rank_zero(tmp_path, monkeypatch):
+    zero = ch.QuantumChannel(2, 2, np.zeros((4, 4)))
+    path = write(tmp_path, "zero.json", io.encode_channel(zero))
+    spectra = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(ch.npl, "eigh", lambda a: spectra.append(a.shape) or eigh(a))
+    code, rep = invoke(tmp_path, "--command", "kraus", "--in", path)
+    assert code == 0
+    assert rep["result"]["kraus_rank"] == 0 == ch.kraus_rank(zero)
+    assert spectra == [(4, 4)]
+    back = io.decode_channel(rep["result"]["channel"])
+    assert np.array_equal(back.choi, zero.choi)
 
 
 def test_dilate_reconstructs(tmp_path):

