@@ -35,18 +35,12 @@ print("monad law violations:", len(laws["violations"]), "of", laws["checks"])
 # ---- interpreting terms over a qubit carrier --------------------------------
 
 
-def bilinear_from_channel(channel):
-    # (a, b) -> Phi(a (x) b) out of a channel on the product space
-    mm = ch.channel_multimap(channel)
-    d = int(np.sqrt(channel.in_dim))
-    return ch.OperatorMultiMap((d, d), channel.out_dim, mm.action_matrix @ linalg.mingle((d, d)))
-
-
 spec = op.OperadSpec((f, g, op.OperadSymbol("id", 1)))
 interp = op.Interpretation(
     spec,
     {
-        "f": bilinear_from_channel(sampling.random_channel(rng, 4, 2)),
+        # (a, b) -> Phi(a (x) b) out of a channel on the product space
+        "f": ch.channel_multimap(sampling.random_channel(rng, 4, 2), (2, 2)),
         "g": ch.channel_multimap(sampling.random_channel(rng, 2, 2)),
         "id": ch.identity_multimap(2),
     },

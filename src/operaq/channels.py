@@ -3,11 +3,12 @@ dilations, minimal dilations with intertwiners, and the tensor
 decomposition with its explicit n-adjoint.
 
 Superoperators act on column-stacked vectorizations throughout, so the
-matrix unit E_kl of M_d has vec index l*d + k.  The Choi layout is the
-channel Choi C = sum_ij E_ij (x) Phi(E_ij), factors (input, output).
-multilinear_choi is a reshape of the action matrix with factors (output,
-input_1, ..., input_n); at n=1 it is the channel Choi with its two factors
-swapped.
+matrix unit E_kl of M_d has vec index l*d + k.  There is one Choi layout,
+the channel Choi C = sum_ij E_ij (x) Phi(E_ij) with factors (input,
+output), and two maps between it and an operator map's action matrix:
+choi_of groups a map's slots into one input space, and channel_multimap
+splits the input space back into slots of given dimensions.  Both are one
+reshape and one axis transpose; a slot permutation is one too.
 
 Every map here is built in closed form, as a reshape, a contraction or a
 Kraus sum.  multimap_from_function is the entry point for a map given as a
@@ -94,8 +95,9 @@ def identity_multimap(d: int) -> OperatorMultiMap:
 
 
 def transpose_multimap(d: int) -> OperatorMultiMap:
-    swap = linalg.factor_permutation_index((d, d), (1, 0))
-    return OperatorMultiMap((d,), d, np.eye(d * d)[swap])
+    # vec(X^T) swaps the (column, row) axes of vec(X)
+    swap = np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2)
+    return OperatorMultiMap((d,), d, swap.reshape(d * d, d * d))
 
 
 def partial_evaluation(mm: OperatorMultiMap, slot: int, states) -> np.ndarray:
@@ -168,34 +170,38 @@ def kraus_to_superop(ks: KrausSet) -> np.ndarray:
     return sum(linalg.kron(np.conj(k), k) for k in ks.operators)
 
 
-def superop_to_choi(s: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
-    d, m = in_dim, out_dim
-    return s.reshape(m, m, d, d).transpose(3, 1, 2, 0).reshape(d * m, d * m)
-
-
-def choi_to_superop(choi: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
-    d, m = in_dim, out_dim
-    return choi.reshape(d, m, d, m).transpose(3, 1, 2, 0).reshape(m * m, d * d)
-
-
 def choi_of(source) -> QuantumChannel:
-    """Channel Choi matrix C = sum_ij E_ij (x) Phi(E_ij) from a 1-slot
-    operator map or a Kraus set."""
+    """Channel Choi matrix C = sum_ij E_ij (x) Phi(E_ij) of a Kraus set, or
+    of an operator map with its slots grouped into one input space.
+
+    Split into (column, row) axes per factor, the action has axes
+    (out col, out row, col_1, row_1, ..., col_n, row_n); C has rows
+    (row_1, ..., row_n, out row) and columns (col_1, ..., col_n, out col),
+    so it is one transpose of the action."""
     if isinstance(source, KrausSet):
-        s = kraus_to_superop(source)
-        d, m = source.in_dim, source.out_dim
+        action, dims, m = kraus_to_superop(source), (source.in_dim,), source.out_dim
     elif isinstance(source, OperatorMultiMap):
-        if source.arity != 1:
-            raise DimensionMismatchError("choi_of needs a 1-slot map; see multilinear_choi")
-        s = source.action_matrix
-        d, m = source.input_operator_dims[0], source.output_operator_dim
+        action, dims, m = source.action_matrix, source.input_operator_dims, source.output_operator_dim
     else:
         raise TypeError(f"cannot build a Choi matrix from {type(source).__name__}")
-    return QuantumChannel(d, m, superop_to_choi(s, d, m))
+    din = int(np.prod(dims))
+    t = action.reshape([m, m] + [d for d in dims for _ in "cr"])
+    order = list(range(3, t.ndim, 2)) + [1] + list(range(2, t.ndim, 2)) + [0]
+    return QuantumChannel(din, m, t.transpose(order).reshape(din * m, din * m))
 
 
-def superop_of(ch: QuantumChannel) -> np.ndarray:
-    return choi_to_superop(ch.choi, ch.in_dim, ch.out_dim)
+def channel_multimap(ch: QuantumChannel, input_dims=None) -> OperatorMultiMap:
+    """The operator map of a channel, its input space read as slots of the
+    given dims (default one slot); the inverse of choi_of."""
+    dims = (ch.in_dim,) if input_dims is None else tuple(int(d) for d in input_dims)
+    if any(d < 1 for d in dims) or int(np.prod(dims)) != ch.in_dim:
+        raise DimensionMismatchError(
+            f"slot dims {dims} do not split the channel's input dimension {ch.in_dim}"
+        )
+    n, m = len(dims), ch.out_dim
+    t = ch.choi.reshape(dims + (m,) + dims + (m,))
+    order = [2 * n + 1, n] + [a for i in range(n) for a in (n + 1 + i, i)]
+    return OperatorMultiMap(dims, m, t.transpose(order).reshape(m * m, ch.in_dim**2))
 
 
 def channel_apply(ch: QuantumChannel, rho) -> np.ndarray:
@@ -204,27 +210,6 @@ def channel_apply(ch: QuantumChannel, rho) -> np.ndarray:
     d, m = ch.in_dim, ch.out_dim
     rho = linalg.unvec(linalg.vec(rho), d, d)
     return linalg.as_matrix(np.einsum("ij,iajb->ab", rho, ch.choi.reshape(d, m, d, m)))
-
-
-def channel_multimap(ch: QuantumChannel) -> OperatorMultiMap:
-    return OperatorMultiMap((ch.in_dim,), ch.out_dim, superop_of(ch))
-
-
-def multilinear_choi(mm: OperatorMultiMap) -> np.ndarray:
-    """sum over unit tuples of Phi(E_k1l1, ..., E_knln) (x) E_k1l1 (x) ...,
-    with the output factor first.  For n=1 this is choi_of up to the factor
-    swap (output, input) <-> (input, output).
-
-    Entry ((k_0, k_1, ...), (l_0, l_1, ...)) is Phi(E_k1l1, ...)[k_0, l_0],
-    so the action matrix, split into (column, row) axes per factor, only
-    has its row axes moved in front."""
-    dims = mm.input_operator_dims
-    m = mm.output_operator_dim
-    side = m * int(np.prod(dims))
-    t = mm.action_matrix.reshape([m, m] + [d for d in dims for _ in range(2)])
-    rows = list(range(1, t.ndim, 2))
-    cols = list(range(0, t.ndim, 2))
-    return t.transpose(rows + cols).reshape(side, side)
 
 
 def _choi_eigenvalues(ch: QuantumChannel) -> np.ndarray:
@@ -285,10 +270,9 @@ def mcp_check(mm: OperatorMultiMap, sample_count: int = 5, seed: int = 0, tol: f
                     drawn.append((f"ginibre-{t}", state / np.trace(state)))
                 tuples.append(drawn)
         for labelled in tuples:
-            states = [s for _, s in labelled]
-            s_mat = partial_evaluation(mm, slot, states)
-            sub = QuantumChannel(dims[slot], mm.output_operator_dim, superop_to_choi(s_mat, dims[slot], mm.output_operator_dim))
-            low = choi_min_eigenvalue(sub)
+            s_mat = partial_evaluation(mm, slot, [s for _, s in labelled])
+            sub = OperatorMultiMap((dims[slot],), mm.output_operator_dim, s_mat)
+            low = choi_min_eigenvalue(choi_of(sub))
             cases += 1
             if low < -tol:
                 violations.append(
@@ -393,12 +377,9 @@ def rep_apply(rep: StarRepresentation, a) -> np.ndarray:
 def factor_representation(d: int, multiplicity: int, left_dim: int = 1, right_dim: int = 1) -> StarRepresentation:
     """a -> I_left (x) (a (x) I_mult) (x) I_right on the full carrier."""
     carrier = left_dim * d * multiplicity * right_dim
-    images = np.zeros((d, d, carrier, carrier), dtype=complex)
-    il = np.eye(left_dim, dtype=complex)
-    im = np.eye(multiplicity, dtype=complex)
-    ir = np.eye(right_dim, dtype=complex)
-    for k, l, e in linalg.matrix_units(d):
-        images[k, l] = linalg.kron_all([il, e, im, ir])
+    # units[k, l] = E_kl, and kron on 4-d arrays acts on the trailing axes
+    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    images = np.kron(np.kron(np.eye(left_dim, dtype=complex), units), np.eye(multiplicity * right_dim))
     return StarRepresentation(d, carrier, images)
 
 
@@ -484,15 +465,11 @@ def pad_dilation(dil: MultilinearDilation, extra_dim: int) -> MultilinearDilatio
     """Attach an unused environment factor of the given dimension."""
     e0 = linalg.basis_vector(extra_dim, 0).reshape(extra_dim, 1)
     v = linalg.kron(dil.isometry, e0)
-    reps = []
-    for rep in dil.reps:
-        d, c = rep.algebra_dim, rep.carrier_dim
-        images = np.zeros((d, d, c * extra_dim, c * extra_dim), dtype=complex)
-        for k in range(d):
-            for l in range(d):
-                images[k, l] = linalg.kron(rep.images[k, l], np.eye(extra_dim))
-        reps.append(StarRepresentation(d, c * extra_dim, images))
-    return MultilinearDilation(tuple(reps), v, None)
+    pad = np.eye(extra_dim)
+    reps = tuple(
+        StarRepresentation(r.algebra_dim, r.carrier_dim * extra_dim, np.kron(r.images, pad)) for r in dil.reps
+    )
+    return MultilinearDilation(reps, v, None)
 
 
 def _generator_matrix(dil: MultilinearDilation) -> np.ndarray:

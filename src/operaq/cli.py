@@ -52,10 +52,8 @@ def _as_channel(obj, ctx: str) -> channels.QuantumChannel:
 
 
 def _channel_of(op, ctx: str) -> channels.QuantumChannel:
-    if isinstance(op, channels.KrausSet):
+    if isinstance(op, (channels.KrausSet, channels.OperatorMultiMap)):
         return channels.choi_of(op)
-    if isinstance(op, channels.OperatorMultiMap):
-        return ideals.grouped_channel(op)
     if isinstance(op, channels.QuantumChannel):
         return op
     raise SchemaError(f"{ctx}: expected a channel, Kraus set, or operator map")
@@ -286,15 +284,7 @@ def cmd_ideal_member(objs, paths, tol, seed):
 
 def cmd_ideal_closure(objs, paths, tol, seed):
     spec = io.decode_ideal_spec(objs[0], paths[0])
-    pool = []
-    for obj, path in zip(objs[1:], paths[1:]):
-        if isinstance(obj, dict) and "pool" in obj:
-            pool.extend(
-                io.decode_operation(entry, f"{path}.pool[{i}]")
-                for i, entry in enumerate(obj["pool"])
-            )
-        else:
-            pool.append(io.decode_operation(obj, path))
+    pool = [op for obj, path in zip(objs[1:], paths[1:]) for op in io.decode_pool(obj, path)]
     report = ideals.closure_check(spec, pool, trials=int(tol["trials"]), seed=seed)
     return report, bool(report["passed"])
 

@@ -81,21 +81,6 @@ def _as_multimap(op) -> channels.OperatorMultiMap:
     raise TypeError(f"cannot test membership of {type(op).__name__}")
 
 
-def grouped_channel(mm: channels.OperatorMultiMap) -> channels.QuantumChannel:
-    """The channel on the tensor product space that a multimap induces by
-    grouping its slots.
-
-    Split into (column, row) axes per factor, the action has axes
-    (out col, out row, col_1, row_1, ...); the grouped Choi matrix has rows
-    (row_1, ..., out row) and columns (col_1, ..., out col), so it is one
-    transpose of the action."""
-    din = int(np.prod(mm.input_operator_dims)) if mm.input_operator_dims else 1
-    m = mm.output_operator_dim
-    t = mm.action_matrix.reshape([m, m] + [d for d in mm.input_operator_dims for _ in "cr"])
-    order = list(range(3, t.ndim, 2)) + [1] + list(range(2, t.ndim, 2)) + [0]
-    return channels.QuantumChannel(din, m, t.transpose(order).reshape(din * m, din * m))
-
-
 def _same_operation(a: channels.OperatorMultiMap, b, tol: float = 1e-10) -> bool:
     b = _as_multimap(b)
     if (
@@ -113,7 +98,7 @@ def is_member(spec: IdealSpec, op, tol: float = 1e-9) -> dict:
     1e-10 * max(1, largest)) come from one eigenvalue-only spectrum; only a
     rank of at most one takes the eigenvectors, for the isometry defect."""
     mm = _as_multimap(op)
-    chan = grouped_channel(mm)
+    chan = channels.choi_of(mm)
     vals = channels._choi_eigenvalues(chan)
     bad = float(vals[0])
     if bad < -1e-10:
@@ -166,13 +151,11 @@ def sigma_multimap(mm: channels.OperatorMultiMap, perm) -> channels.OperatorMult
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(mm.arity)):
         raise DimensionMismatchError(f"{perm} is not a permutation of {mm.arity} slots")
-    new_dims = [0] * mm.arity
-    for pos, target in enumerate(perm):
-        new_dims[target] = mm.input_operator_dims[pos]
-    src = linalg.factor_permutation_index(tuple(nd * nd for nd in new_dims), perm)
-    return channels.OperatorMultiMap(
-        tuple(new_dims), mm.output_operator_dim, mm.action_matrix[:, np.argsort(src)]
-    )
+    inv = [int(p) for p in np.argsort(perm)]  # slot j of the result is slot inv[j] of mm
+    t = mm.action_matrix.reshape((-1,) + tuple(d * d for d in mm.input_operator_dims))
+    action = t.transpose([0] + [1 + p for p in inv]).reshape(mm.action_matrix.shape)
+    new_dims = tuple(mm.input_operator_dims[p] for p in inv)
+    return channels.OperatorMultiMap(new_dims, mm.output_operator_dim, action)
 
 
 def _pick(rng, items, out_dim):

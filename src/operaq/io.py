@@ -33,12 +33,34 @@ def _unpair(entry, ctx: str) -> complex:
         raise SchemaError(f"{ctx}: non-numeric complex entry") from None
 
 
-def _need(obj, key: str, ctx: str):
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+_REQUIRED = object()
+
+
+def _typed(value, ctx: str, kind):
+    """value refused unless it has the JSON type kind (None: any); int means
+    a whole number, 2.0 included."""
+    if kind is int and (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    if kind is None or kind is not int and isinstance(value, kind):
+        return value
+    raise SchemaError(f"{ctx}: expected {_KINDS[kind]}")
+
+
+def _ints(value, ctx: str) -> tuple:
+    return tuple(_typed(v, f"{ctx}[{i}]", int) for i, v in enumerate(_typed(value, ctx, list)))
+
+
+def _need(obj, key: str, ctx: str, kind=None, default=_REQUIRED):
+    """obj[key] of the JSON type kind; a field with a default may be absent
+    or null."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{ctx}: expected an object")
+    if default is not _REQUIRED and obj.get(key) is None:
+        return default
     if key not in obj:
         raise SchemaError(f"{ctx}: missing field {key!r}")
-    return obj[key]
+    return _typed(obj[key], f"{ctx}.{key}", kind)
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +74,9 @@ def encode_matrix(m) -> dict:
 
 
 def decode_matrix(obj, ctx: str = "matrix") -> np.ndarray:
-    r = int(_need(obj, "rows", ctx))
-    c = int(_need(obj, "cols", ctx))
-    data = _need(obj, "data", ctx)
+    r = _need(obj, "rows", ctx, int)
+    c = _need(obj, "cols", ctx, int)
+    data = _need(obj, "data", ctx, list)
     if len(data) != r * c:
         raise SchemaError(f"{ctx}: data has {len(data)} entries for shape {r}x{c}")
     flat = np.array([_unpair(e, ctx) for e in data], dtype=complex)
@@ -76,8 +98,8 @@ def encode_tensor(t) -> dict:
 
 
 def decode_tensor(obj, ctx: str = "tensor") -> np.ndarray:
-    shape = tuple(int(s) for s in _need(obj, "shape", ctx))
-    data = _need(obj, "data", ctx)
+    shape = _ints(_need(obj, "shape", ctx), f"{ctx}.shape")
+    data = _need(obj, "data", ctx, list)
     total = int(np.prod(shape)) if shape else 1
     if len(data) != total:
         raise SchemaError(f"{ctx}: data has {len(data)} entries for shape {shape}")
@@ -97,8 +119,8 @@ def encode_multimap(mm: channels.OperatorMultiMap) -> dict:
 
 
 def decode_multimap(obj, ctx: str = "multimap") -> channels.OperatorMultiMap:
-    dims = tuple(int(d) for d in _need(obj, "input_dims", ctx))
-    out = int(_need(obj, "output_dim", ctx))
+    dims = _ints(_need(obj, "input_dims", ctx), f"{ctx}.input_dims")
+    out = _need(obj, "output_dim", ctx, int)
     action = decode_matrix(_need(obj, "action", ctx), f"{ctx}.action")
     return channels.OperatorMultiMap(dims, out, action)
 
@@ -121,13 +143,14 @@ def encode_channel(ch: channels.QuantumChannel, form: str = "choi", kraus=None) 
 
 
 def decode_channel(obj, ctx: str = "channel") -> channels.QuantumChannel:
-    n = int(_need(obj, "in_dim", ctx))
-    m = int(_need(obj, "out_dim", ctx))
+    n = _need(obj, "in_dim", ctx, int)
+    m = _need(obj, "out_dim", ctx, int)
     form = _need(obj, "repr", ctx)
     data = _need(obj, "data", ctx)
     if form == "choi":
         return channels.QuantumChannel(n, m, decode_matrix(data, f"{ctx}.data"))
     if form == "kraus":
+        data = _typed(data, f"{ctx}.data", list)
         ops = tuple(decode_matrix(k, f"{ctx}.data[{i}]") for i, k in enumerate(data))
         ks = channels.KrausSet(ops)
         if ks.in_dim != n or ks.out_dim != m:
@@ -141,7 +164,7 @@ def encode_kraus(ks: channels.KrausSet) -> dict:
 
 
 def decode_kraus(obj, ctx: str = "kraus") -> channels.KrausSet:
-    ops = _need(obj, "operators", ctx)
+    ops = _need(obj, "operators", ctx, list)
     return channels.KrausSet(
         tuple(decode_matrix(k, f"{ctx}.operators[{i}]") for i, k in enumerate(ops))
     )
@@ -157,11 +180,19 @@ def encode_multilinear_map(phi: multilinear.MultilinearVectorMap) -> dict:
 
 
 def decode_multilinear_map(obj, ctx: str = "map") -> multilinear.MultilinearVectorMap:
-    dims = tuple(int(d) for d in _need(obj, "input_dims", ctx))
-    out = int(_need(obj, "output_dim", ctx))
+    dims = _ints(_need(obj, "input_dims", ctx), f"{ctx}.input_dims")
+    out = _need(obj, "output_dim", ctx, int)
     mat = decode_matrix(_need(obj, "matrix", ctx), f"{ctx}.matrix")
     field = obj.get("field", "complex")
     return multilinear.MultilinearVectorMap(dims, out, mat, field)
+
+
+def decode_pool(obj, ctx: str = "pool") -> list:
+    """The operations of a pool file {"pool": [...]}, or of one operation."""
+    if isinstance(obj, dict) and "pool" in obj:
+        entries = _need(obj, "pool", ctx, list)
+        return [decode_operation(e, f"{ctx}.pool[{i}]") for i, e in enumerate(entries)]
+    return [decode_operation(obj, ctx)]
 
 
 def decode_operation(obj, ctx: str = "operation"):
@@ -191,7 +222,7 @@ def encode_dilation(cd: channels.ChannelDilation) -> dict:
 
 
 def decode_dilation(obj, ctx: str = "dilation") -> channels.ChannelDilation:
-    env = int(_need(obj, "env_dim", ctx))
+    env = _need(obj, "env_dim", ctx, int)
     v = decode_matrix(_need(obj, "isometry", ctx), f"{ctx}.isometry")
     return channels.ChannelDilation(env, v)
 
@@ -206,8 +237,8 @@ def encode_representation(rep: channels.StarRepresentation) -> dict:
 
 def decode_representation(obj, ctx: str = "representation") -> channels.StarRepresentation:
     return channels.StarRepresentation(
-        int(_need(obj, "algebra_dim", ctx)),
-        int(_need(obj, "carrier_dim", ctx)),
+        _need(obj, "algebra_dim", ctx, int),
+        _need(obj, "carrier_dim", ctx, int),
         decode_tensor(_need(obj, "images", ctx), f"{ctx}.images"),
     )
 
@@ -225,13 +256,11 @@ def encode_multilinear_dilation(dil: channels.MultilinearDilation) -> dict:
 def decode_multilinear_dilation(obj, ctx: str = "dilation") -> channels.MultilinearDilation:
     reps = tuple(
         decode_representation(r, f"{ctx}.reps[{i}]")
-        for i, r in enumerate(_need(obj, "reps", ctx))
+        for i, r in enumerate(_need(obj, "reps", ctx, list))
     )
     v = decode_matrix(_need(obj, "isometry", ctx), f"{ctx}.isometry")
-    fd = obj.get("factor_dims")
-    return channels.MultilinearDilation(
-        reps, v, None if fd is None else tuple(int(d) for d in fd)
-    )
+    fd = _need(obj, "factor_dims", ctx, list, None)
+    return channels.MultilinearDilation(reps, v, None if fd is None else _ints(fd, f"{ctx}.factor_dims"))
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +279,16 @@ def decode_term(obj, spec: operad.OperadSpec, ctx: str = "term"):
     if not isinstance(obj, dict):
         raise SchemaError(f"{ctx}: expected an object")
     if "slot" in obj:
-        return operad.Leaf(int(obj["slot"]))
+        return operad.Leaf(_need(obj, "slot", ctx, int))
     if "perm" in obj:
         return operad.Permuted(
-            tuple(int(p) for p in obj["perm"]),
+            _ints(obj["perm"], f"{ctx}.perm"),
             decode_term(_need(obj, "of", ctx), spec, f"{ctx}.of"),
         )
-    name = _need(obj, "op", ctx)
+    name = _need(obj, "op", ctx, str)
     if name not in spec:
         raise SchemaError(f"{ctx}: symbol {name!r} is not in the operad")
-    args = obj.get("args", [])
+    args = _need(obj, "args", ctx, list, [])
     return operad.Apply(
         spec[name],
         tuple(decode_term(a, spec, f"{ctx}.args[{i}]") for i, a in enumerate(args)),
@@ -278,19 +307,19 @@ def encode_operad_spec(spec: operad.OperadSpec) -> dict:
 
 
 def decode_operad_spec(obj, ctx: str = "operad") -> operad.OperadSpec:
-    gens = _need(obj, "generators", ctx)
+    gens = _need(obj, "generators", ctx, list)
     symbols = []
     for i, g in enumerate(gens):
         gctx = f"{ctx}.generators[{i}]"
-        sig = g.get("signature")
+        name = str(_need(g, "name", gctx))
+        sig = _need(g, "signature", gctx, list, None)
         if sig is not None:
-            sig = (tuple(int(d) for d in sig[0]), int(sig[1]))
+            if len(sig) != 2:
+                raise SchemaError(f"{gctx}.signature: expected [input dims, output dim]")
+            sig = (_ints(sig[0], f"{gctx}.signature[0]"), _typed(sig[1], f"{gctx}.signature[1]", int))
         symbols.append(
             operad.OperadSymbol(
-                str(_need(g, "name", gctx)),
-                int(_need(g, "arity", gctx)),
-                sig,
-                bool(g.get("formal", False)),
+                name, _need(g, "arity", gctx, int), sig, bool(g.get("formal", False))
             )
         )
     return operad.OperadSpec(tuple(symbols))
@@ -306,7 +335,7 @@ def encode_interpretation(interp: operad.Interpretation) -> dict:
 
 def decode_interpretation(obj, ctx: str = "interpretation") -> operad.Interpretation:
     spec = decode_operad_spec(_need(obj, "operad", ctx), f"{ctx}.operad")
-    assign_obj = _need(obj, "assign", ctx)
+    assign_obj = _need(obj, "assign", ctx, dict)
     assign = {}
     for name, entry in assign_obj.items():
         op = decode_operation(entry, f"{ctx}.assign[{name}]")
@@ -315,8 +344,7 @@ def decode_interpretation(obj, ctx: str = "interpretation") -> operad.Interpreta
         if isinstance(op, multilinear.MultilinearVectorMap):
             raise SchemaError(f"{ctx}.assign[{name}]: expected an operator map")
         assign[name] = op
-    cd = obj.get("carrier_dim")
-    return operad.Interpretation(spec, assign, None if cd is None else int(cd))
+    return operad.Interpretation(spec, assign, _need(obj, "carrier_dim", ctx, int, None))
 
 
 def encode_monad_element(x: monad.MonadElement) -> dict:
@@ -335,7 +363,7 @@ def encode_monad_element(x: monad.MonadElement) -> dict:
 
 
 def decode_monad_element(obj, spec: operad.OperadSpec, ctx: str = "element") -> monad.MonadElement:
-    entries = _need(obj, "terms", ctx)
+    entries = _need(obj, "terms", ctx, list)
     decoded = []
     for i, e in enumerate(entries):
         ectx = f"{ctx}.terms[{i}]"
@@ -346,7 +374,7 @@ def decode_monad_element(obj, spec: operad.OperadSpec, ctx: str = "element") -> 
             raise SchemaError(f"{ectx}: missing field 'sym'")
         term = decode_term(tree, spec, f"{ectx}.sym")
         args = []
-        for j, a in enumerate(e.get("args", [])):
+        for j, a in enumerate(_need(e, "args", ectx, list, [])):
             actx = f"{ectx}.args[{j}]"
             if isinstance(a, dict) and "element" in a:
                 args.append(decode_monad_element(a["element"], spec, actx))
@@ -373,11 +401,11 @@ def decode_ideal_spec(obj, ctx: str = "ideal") -> ideals.IdealSpec:
     predicate = str(_need(obj, "predicate", ctx))
     members = tuple(
         decode_operation(m, f"{ctx}.members[{i}]")
-        for i, m in enumerate(obj.get("members", []))
+        for i, m in enumerate(_need(obj, "members", ctx, list, []))
     )
     non_members = tuple(
         decode_operation(m, f"{ctx}.non_members[{i}]")
-        for i, m in enumerate(obj.get("non_members", []))
+        for i, m in enumerate(_need(obj, "non_members", ctx, list, []))
     )
     try:
         return ideals.IdealSpec(name, predicate, members, non_members)
@@ -395,8 +423,8 @@ def encode_feedback_problem(p: multilinear.FeedbackProblem) -> dict:
 
 def decode_feedback_problem(obj, ctx: str = "feedback") -> multilinear.FeedbackProblem:
     phi = decode_multilinear_map(_need(obj, "map", ctx), f"{ctx}.map")
-    ins = tuple(int(d) for d in _need(obj, "input_split", ctx))
-    outs = tuple(int(d) for d in _need(obj, "output_split", ctx))
+    ins = _ints(_need(obj, "input_split", ctx), f"{ctx}.input_split")
+    outs = _ints(_need(obj, "output_split", ctx), f"{ctx}.output_split")
     if len(ins) != 2 or len(outs) != 2:
         raise SchemaError(f"{ctx}: splits must list exactly two summands")
     return multilinear.FeedbackProblem(phi, ins, outs)

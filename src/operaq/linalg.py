@@ -6,11 +6,11 @@ Conventions fixed here and used everywhere else:
     in the second, <x, y> = sum_i x_i conj(y_i);
   * numerical rank cutoffs default to 1e-9 relative to the largest
     singular value;
-  * factor permutations are index arrays, never dense matrices: a
-    permutation P is held as src with (P x)[i] = x[src[i]], so P @ A is
-    A[src] and A @ P is A[:, np.argsort(src)].  The dense builders
-    factor_permutation and mingle are kept only where the explicit matrix
-    is wanted (test oracles, demos); no computation multiplies by one;
+  * tensor factors are permuted by reshaping to one axis per factor and
+    transposing the axes, never by a permutation matrix or an index
+    gather; moving an operator map between its action matrix and its Choi
+    matrix is such a transpose (channels.choi_of and
+    channels.channel_multimap);
   * no joint superoperator is kron'd whole: channel products and
     applications contract the Choi matrix (channels), and terms, circuits
     and composites are contracted wire by wire (operad).
@@ -135,43 +135,3 @@ def op_norm(m) -> float:
     if m.size == 0:
         return 0.0
     return float(npl.svd(m, compute_uv=False)[0])
-
-
-def factor_permutation_index(dims, perm) -> np.ndarray:
-    """Index array src of the factor permutation P, (P x)[i] = x[src[i]],
-    where P(x_1 (x) ... (x) x_n) has old factor perm[k] at new position k."""
-    dims = [int(d) for d in dims]
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(len(dims))):
-        raise DimensionMismatchError("not a permutation of the factors")
-    return np.arange(int(np.prod(dims))).reshape(dims).transpose(perm).ravel()
-
-
-def mingle_index(dims) -> np.ndarray:
-    """Index array of the permutation sending vec(A_1) (x) ... (x) vec(A_n)
-    to vec(A_1 (x) ... (x) A_n).
-
-    The source index interleaves per-factor (column, row) axes; the target
-    groups all column axes before all row axes.
-    """
-    dims = [int(d) for d in dims]
-    total = int(np.prod(dims))
-    inter_shape = [d for d in dims for _ in range(2)]  # (col_i, row_i) per factor
-    axes = list(range(0, 2 * len(dims), 2)) + list(range(1, 2 * len(dims), 2))
-    return np.arange(total * total).reshape(inter_shape).transpose(axes).ravel()
-
-
-def _permutation_matrix(src: np.ndarray) -> np.ndarray:
-    p = np.zeros((src.size, src.size))
-    p[np.arange(src.size), src] = 1.0
-    return p
-
-
-def factor_permutation(dims, perm) -> np.ndarray:
-    """Dense matrix of factor_permutation_index, for explicit-matrix use."""
-    return _permutation_matrix(factor_permutation_index(dims, perm))
-
-
-def mingle(dims) -> np.ndarray:
-    """Dense matrix of mingle_index, for explicit-matrix use."""
-    return _permutation_matrix(mingle_index(dims))

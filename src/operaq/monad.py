@@ -484,7 +484,6 @@ def stinespring_circuit(phi: channels.QuantumChannel):
     u = np.zeros((big, big), dtype=complex)
     u[:, ::anc] = v_pad
     u[:, np.arange(big) % anc != 0] = npl.svd(v_pad)[0][:, n:]
-    joint = channels.kraus_to_superop(channels.KrausSet((u,)))
     trace_env = channels.KrausSet(
         tuple(np.kron(np.eye(m), np.eye(env)[e : e + 1]) for e in range(env))
     )
@@ -492,8 +491,8 @@ def stinespring_circuit(phi: channels.QuantumChannel):
         "prep_env": channels.OperatorMultiMap(
             (), anc, linalg.vec(linalg.matrix_unit(anc, 0, 0)).reshape(-1, 1)
         ),
-        "joint_unitary": channels.OperatorMultiMap(
-            (n, anc), big, joint[:, np.argsort(linalg.mingle_index((n, anc)))]
+        "joint_unitary": channels.channel_multimap(
+            channels.choi_of(channels.KrausSet((u,))), (n, anc)
         ),
         "trace_env": channels.OperatorMultiMap((big,), m, channels.kraus_to_superop(trace_env)),
     }
@@ -528,7 +527,7 @@ def circuit_channel(circuit: operad.CircuitTerm, boxes: dict, in_dims) -> channe
     wm = operad.interpret_circuit(box_interpretation(boxes), circuit, tuple(in_dims))
     din = int(np.prod(wm.dims_in)) if wm.dims_in else 1
     dout = int(np.prod(wm.dims_out)) if wm.dims_out else 1
-    return channels.QuantumChannel(din, dout, channels.superop_to_choi(wm.superop, din, dout))
+    return channels.choi_of(channels.OperatorMultiMap((din,), dout, wm.superop))
 
 
 def monoidal_compat_check(

@@ -28,19 +28,12 @@ def random_multilinear(rng, input_dims, output_dim, field):
     return ml.MultilinearVectorMap(tuple(input_dims), output_dim, m.astype(complex), field)
 
 
-def bilinear_from_channel(channel):
-    # (a, b) -> Phi(a (x) b) out of a channel on the product space
-    mm = ch.channel_multimap(channel)
-    d = int(np.sqrt(channel.in_dim))
-    return ch.OperatorMultiMap((d, d), channel.out_dim, mm.action_matrix @ linalg.mingle((d, d)))
-
-
 def qubit_interpretation(rng, extra_unary=False):
     syms = [op.OperadSymbol("id", 1), op.OperadSymbol("g", 1), op.OperadSymbol("f", 2)]
     assign = {
         "id": ch.identity_multimap(2),
         "g": ch.channel_multimap(sampling.random_channel(rng, 2, 2)),
-        "f": bilinear_from_channel(sampling.random_channel(rng, 4, 2)),
+        "f": ch.channel_multimap(sampling.random_channel(rng, 4, 2), (2, 2)),
     }
     if extra_unary:
         syms.append(op.OperadSymbol("h", 1))

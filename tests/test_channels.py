@@ -9,9 +9,11 @@ from operaq import ideals, linalg, monad, sampling
 from operaq import multilinear as ml
 from operaq import operad as op
 from operaq.errors import (
+    DimensionMismatchError,
     InconsistentDilationsError,
     NotCompletelyPositiveError,
 )
+import oracles
 from oracles import superop_kron
 
 
@@ -55,7 +57,7 @@ def test_choi_of_completely_depolarizing():
 
 def test_transpose_choi_is_swap():
     q = ch.choi_of(ch.transpose_multimap(2))
-    swap = linalg.factor_permutation((2, 2), (1, 0))
+    swap = oracles.factor_permutation((2, 2), (1, 0))
     assert np.allclose(q.choi, swap, atol=1e-12)
     assert sorted(np.linalg.eigvalsh(q.choi)) == pytest.approx([-1, 1, 1, 1])
     assert not ch.is_cp(q)
@@ -70,8 +72,63 @@ def test_is_tp_rejects_scaling():
 def test_choi_superop_roundtrip():
     rng = np.random.default_rng(0)
     s = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
-    c = ch.superop_to_choi(s, 2, 3)
-    assert np.array_equal(ch.choi_to_superop(c, 2, 3), s)
+    c = ch.choi_of(ch.OperatorMultiMap((2,), 3, s))
+    assert np.array_equal(c.choi, oracles.superop_to_choi(s, 2, 3))
+    assert np.array_equal(ch.channel_multimap(c).action_matrix, s)
+
+
+def draw_multimap(data, rng):
+    """A random operator map on 0-3 slots of dims 1-3, output dim 1-3."""
+    dims = tuple(data.draw(st.integers(1, 3)) for _ in range(data.draw(st.integers(0, 3))))
+    m = data.draw(st.integers(1, 3))
+    cols = int(np.prod([d * d for d in dims]))
+    return ch.OperatorMultiMap(dims, m, sampling.ginibre(rng, m * m, cols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_choi_of_a_kraus_set_equals_the_superop_construction_bitwise(data):
+    # multimaps are checked against the dense mingle in test_ideals.py
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    d, m, r = (data.draw(st.integers(1, 3)) for _ in range(3))
+    ks = sampling.random_cptp(rng, d, m, r)
+    want = oracles.superop_to_choi(ch.kraus_to_superop(ks), d, m)
+    assert np.array_equal(ch.choi_of(ks).choi, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_channel_multimap_inverts_choi_of_bitwise(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    mm = draw_multimap(data, rng)
+    chan = ch.choi_of(mm)
+    back = ch.channel_multimap(chan, mm.input_operator_dims)
+    assert (back.input_operator_dims, back.output_operator_dim) == (
+        mm.input_operator_dims,
+        mm.output_operator_dim,
+    )
+    assert np.array_equal(back.action_matrix, mm.action_matrix)
+    # by default the input is one slot: the superoperator on the product space
+    joint = ch.channel_multimap(chan)
+    assert joint.input_operator_dims == (chan.in_dim,)
+    assert np.array_equal(joint.action_matrix, oracles.superop_of(chan))
+    assert np.array_equal(ch.choi_of(joint).choi, chan.choi)
+
+
+def test_channel_multimap_refuses_dims_that_do_not_split_the_input():
+    phi = ch.identity_channel(6)
+    for dims in ((2, 2), (4,), (12,), (), (6, 0), (-2, -3)):
+        with pytest.raises(DimensionMismatchError, match="split"):
+            ch.channel_multimap(phi, dims)
+    assert ch.channel_multimap(phi, (3, 2)).input_operator_dims == (3, 2)
+    assert ch.channel_multimap(ch.QuantumChannel(1, 2, np.eye(2)), ()).arity == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 5))
+def test_transpose_multimap_is_the_dense_swap(d):
+    swap = oracles.factor_permutation((d, d), (1, 0))
+    assert np.array_equal(ch.transpose_multimap(d).action_matrix, swap)
 
 
 def test_channel_apply_matches_kraus():
@@ -124,11 +181,14 @@ def test_stinespring_identity_is_trivial_embedding():
 
 
 def test_multilinear_choi_bridges_to_channel_choi():
+    # the Choi matrix of a multilinear map is choi_of with its slots grouped;
+    # the output-first layout is the same matrix with its factors swapped
     rng = np.random.default_rng(4)
     ks = sampling.random_cptp(rng, 2, 3)
     mm = ch.channel_multimap(ch.choi_of(ks))
-    p = linalg.factor_permutation((2, 3), (1, 0))
-    assert np.allclose(ch.multilinear_choi(mm), p @ ch.choi_of(ks).choi @ p.T, atol=1e-11)
+    assert np.array_equal(ch.choi_of(mm).choi, ch.choi_of(ks).choi)
+    p = oracles.factor_permutation((2, 3), (1, 0))
+    assert np.allclose(oracles.multilinear_choi(mm), p @ ch.choi_of(ks).choi @ p.T, atol=1e-11)
 
 
 def test_multilinear_choi_product_map():
@@ -136,23 +196,24 @@ def test_multilinear_choi_product_map():
     lam = sampling.random_channel(rng, 2, 2)
     lam_mm = ch.channel_multimap(lam)
 
-    def product(a, b):
+    def product(b, a):
         return ch.apply_ops(lam_mm, [a]) * np.trace(b)
 
-    mm = ch.multimap_from_function(product, (2, 3), 2)
-    expected = linalg.kron(ch.multilinear_choi(lam_mm), np.eye(3))
-    assert np.allclose(ch.multilinear_choi(mm), expected, atol=1e-11)
+    mm = ch.multimap_from_function(product, (3, 2), 2)
+    grouped = ch.choi_of(mm)
+    assert (grouped.in_dim, grouped.out_dim) == (6, 2)
+    assert np.allclose(grouped.choi, linalg.kron(np.eye(3), lam.choi), atol=1e-11)
     # joint positivity of the product of CP slot maps
-    assert np.linalg.eigvalsh(ch.multilinear_choi(mm))[0] > -1e-10
+    assert ch.is_cp(grouped)
 
 
 def test_multilinear_choi_linearity():
     rng = np.random.default_rng(6)
-    a = ch.channel_multimap(sampling.random_channel(rng, 2, 2))
-    b = ch.channel_multimap(sampling.random_channel(rng, 2, 2))
-    s = ch.OperatorMultiMap((2,), 2, a.action_matrix + b.action_matrix)
+    a = ch.channel_multimap(sampling.random_channel(rng, 4, 2), (2, 2))
+    b = ch.channel_multimap(sampling.random_channel(rng, 4, 2), (2, 2))
+    s = ch.OperatorMultiMap((2, 2), 2, a.action_matrix + b.action_matrix)
     assert np.allclose(
-        ch.multilinear_choi(s), ch.multilinear_choi(a) + ch.multilinear_choi(b), atol=1e-12
+        ch.choi_of(s).choi, ch.choi_of(a).choi + ch.choi_of(b).choi, rtol=0, atol=1e-12
     )
 
 
@@ -371,14 +432,14 @@ def test_channel_kron_acts_factorwise():
 
 def old_channel_kron(a, b):
     s = superop_kron(
-        [ch.superop_of(a), ch.superop_of(b)], (a.in_dim, b.in_dim), (a.out_dim, b.out_dim)
+        [oracles.superop_of(a), oracles.superop_of(b)], (a.in_dim, b.in_dim), (a.out_dim, b.out_dim)
     )
     d, m = a.in_dim * b.in_dim, a.out_dim * b.out_dim
-    return ch.QuantumChannel(d, m, ch.superop_to_choi(s, d, m))
+    return ch.QuantumChannel(d, m, oracles.superop_to_choi(s, d, m))
 
 
 def old_channel_apply(phi, rho):
-    return linalg.unvec(ch.superop_of(phi) @ linalg.vec(rho), phi.out_dim)
+    return linalg.unvec(oracles.superop_of(phi) @ linalg.vec(rho), phi.out_dim)
 
 
 def draw_channel(data, rng):
@@ -428,8 +489,9 @@ def test_products_and_applications_build_no_superoperator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("superoperator built on a Choi-side path")
 
-    monkeypatch.setattr(ch, "choi_to_superop", refuse)
-    monkeypatch.setattr(ch, "superop_of", refuse)
+    for gone in ("superop_to_choi", "choi_to_superop", "superop_of", "multilinear_choi"):
+        assert not hasattr(ch, gone)
+    monkeypatch.setattr(ch, "channel_multimap", refuse)
     assert ch.channel_kron(phi_a, phi_b).choi.shape == (24, 24)
     assert ch.channel_apply(phi_a, np.eye(2)).shape == (3, 3)
     assert monad.monoidal_compat_check(phi_a, phi_b, interp, trials=4, seed=1)["trials"] == 4
@@ -585,8 +647,8 @@ def test_multilinear_choi_matches_unit_sweep(data):
     total = np.zeros((side, side), dtype=complex)
     for multi in np.ndindex(*[d * d for d in dims]):
         units = unit_matrices(dims, multi)
-        total += linalg.kron_all([ch.apply_ops(mm, units)] + units)
-    assert np.allclose(ch.multilinear_choi(mm), total, rtol=0, atol=1e-10)
+        total += linalg.kron_all(units + [ch.apply_ops(mm, units)])
+    assert np.allclose(ch.choi_of(mm).choi, total, rtol=0, atol=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
@@ -628,7 +690,7 @@ def test_closed_forms_sweep_no_callable(monkeypatch):
     assert ch.n_adjoint(decomp).input_operator_dims == (3, 2, 2)
     small = ch.minimal_dilation(ch.pad_dilation(dil, 2))
     assert ch.intertwiner(small, dil)[1]["isometry_defect"] < 1e-8
-    assert ch.multilinear_choi(ch.dilation_multimap(dil)).shape == (24, 24)
+    assert ch.choi_of(ch.dilation_multimap(dil)).choi.shape == (24, 24)
     ks = sampling.random_cptp(rng, 2, 3, 2)
     assert ch.channel_from_dilation(ch.stinespring_from_kraus(ks)).out_dim == 3
     assert ch.transpose_multimap(3).input_operator_dims == (3,)
@@ -637,3 +699,27 @@ def test_closed_forms_sweep_no_callable(monkeypatch):
     circuit, boxes = monad.stinespring_circuit(sampling.random_channel(rng, 2, 2, 2))
     assert sorted(boxes) == ["joint_unitary", "prep_env", "trace_env"]
     assert ideals.broadcast_witness(2)["d"] == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_factor_representation_equals_the_unit_loop_bitwise(d, mult, left, right):
+    got = ch.factor_representation(d, mult, left_dim=left, right_dim=right)
+    want = oracles.factor_representation(d, mult, left_dim=left, right_dim=right)
+    assert (got.algebra_dim, got.carrier_dim) == (want.algebra_dim, want.carrier_dim)
+    assert np.array_equal(got.images, want.images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pad_dilation_equals_the_unit_loop_bitwise(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dil = draw_dilation(data, rng)
+    extra = data.draw(st.integers(1, 3))
+    got, want = ch.pad_dilation(dil, extra), oracles.pad_dilation(dil, extra)
+    assert np.array_equal(got.isometry, want.isometry)
+    assert got.factor_dims is want.factor_dims is None
+    assert len(got.reps) == len(want.reps)
+    for a, b in zip(got.reps, want.reps):
+        assert (a.algebra_dim, a.carrier_dim) == (b.algebra_dim, b.carrier_dim)
+        assert np.array_equal(a.images, b.images)

@@ -246,7 +246,7 @@ def test_term_eval(tmp_path):
     code, rep = invoke(tmp_path, "--command", "term-eval", "--in", ipath, "--in", tpath)
     assert code == 0
     mm = io.decode_multimap(rep["result"]["multimap"])
-    want = ch.superop_of(ch.depolarizing_channel(2, 0.5))
+    want = ch.channel_multimap(ch.depolarizing_channel(2, 0.5)).action_matrix
     assert linalg.frobenius(mm.action_matrix - want) < 1e-12
 
 
@@ -628,3 +628,70 @@ def test_cli_import_loads_only_numpy_beyond_the_standard_library():
     loaded = set(json.loads(out.stdout))
     assert "operaq" in loaded
     assert loaded - set(sys.stdlib_module_names) <= {"numpy", "operaq"}
+
+
+def _choi_obj():
+    return io.encode_channel(ch.identity_channel(2))
+
+
+def _with(obj, path, value):
+    """A copy of the artifact obj with the field at path (a key list) set."""
+    obj = json.loads(json.dumps(obj))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+def _spec_obj():
+    return {"generators": [{"name": "f", "arity": 1}]}
+
+
+def _ideal_obj(**fields):
+    return {"name": "noniso", "predicate": "non-isometric", **fields}
+
+
+def _dilation_obj():
+    rng = np.random.default_rng(3)
+    return io.encode_multilinear_dilation(sampling.random_separable_dilation(rng, (2,), 2, (1,)))
+
+
+# each artifact is valid JSON whose fields have the wrong JSON type
+MALFORMED = {
+    "matrix-data-int": ("check-cp", lambda: [_with(_choi_obj(), ["data", "data"], 5)]),
+    "matrix-rows-null": ("check-cp", lambda: [_with(_choi_obj(), ["data", "rows"], None)]),
+    "dim-fractional": ("check-tp", lambda: [_with(_with(_choi_obj(), ["in_dim"], 2.7), ["out_dim"], 2.2)]),
+    "dim-string": ("check-tp", lambda: [_with(_choi_obj(), ["in_dim"], "2")]),
+    "generator-not-object": ("operad-laws", lambda: [{"generators": [5]}]),
+    "signature-int": (
+        "operad-laws",
+        lambda: [_with(_spec_obj(), ["generators", 0, "signature"], 3)],
+    ),
+    "assign-list": ("term-eval", lambda: [_with(qubit_interp_obj(), ["assign"], []), {"slot": 0}]),
+    "kraus-data-int": ("check-cp", lambda: [{"in_dim": 2, "out_dim": 2, "repr": "kraus", "data": 5}]),
+    "pool-int": ("ideal-closure", lambda: [_ideal_obj(), {"pool": 5}]),
+    "members-int": ("ideal-member", lambda: [_ideal_obj(members=5), _choi_obj()]),
+    "term-args-int": ("term-eval", lambda: [qubit_interp_obj(), {"op": "dep", "args": 5}]),
+    "slot-list": ("term-eval", lambda: [qubit_interp_obj(), {"slot": [0]}]),
+    "perm-int": ("term-eval", lambda: [qubit_interp_obj(), {"perm": 5, "of": {"slot": 0}}]),
+    "input-dims-int": (
+        "check-cp",
+        lambda: [_with(io.encode_multimap(ch.identity_multimap(2)), ["input_dims"], 2)],
+    ),
+    "reps-int": ("minimal", lambda: [_with(_dilation_obj(), ["reps"], 5)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_mistyped_field_is_an_input_error_with_a_report(tmp_path, capsys, case):
+    command, build = MALFORMED[case]
+    argv = ["--command", command, "--seed", "0"]
+    for i, obj in enumerate(build()):
+        argv += ["--in", write(tmp_path, f"in{i}.json", obj)]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["error"] and "result" not in rep
+    assert "expected" in rep["error"]

@@ -10,7 +10,7 @@ from operaq import channels as ch
 from operaq import ideals, linalg, operad as op
 from operaq import sampling
 from operaq.errors import DimensionMismatchError
-from oracles import superop_kron
+from oracles import choi_to_superop, factor_permutation_index, mingle_index, superop_kron
 
 # ---------------------------------------------------------------------------
 # oracles: the constructions before the contraction
@@ -47,14 +47,14 @@ def old_interpret(interp, t, leaf_dim=None):
     dims_by_label = [0] * len(labels)
     for pos, lab in enumerate(labels):
         dims_by_label[lab] = mm.input_operator_dims[pos]
-    src = linalg.factor_permutation_index(tuple(d * d for d in dims_by_label), labels)
+    src = factor_permutation_index(tuple(d * d for d in dims_by_label), labels)
     return ch.OperatorMultiMap(
         tuple(dims_by_label), mm.output_operator_dim, mm.action_matrix[:, np.argsort(src)]
     )
 
 
 def superop_permutation_index(dims, perm):
-    src = linalg.factor_permutation_index(dims, perm)
+    src = factor_permutation_index(dims, perm)
     return (src[:, None] * src.size + src[None, :]).ravel()
 
 
@@ -84,7 +84,7 @@ def old_interpret_circuit(interp, c, in_dims):
         perm = tuple(live.index(w) for w in new_order + passthrough)
         p_src = superop_permutation_index(tuple(dim[w] for w in live), perm)
         superops = [
-            actions[k].action_matrix[:, linalg.mingle_index(actions[k].input_operator_dims)]
+            actions[k].action_matrix[:, mingle_index(actions[k].input_operator_dims)]
             for k in with_inputs
         ]
         superops += [np.eye(dim[w] ** 2, dtype=complex) for w in passthrough]
@@ -228,9 +228,9 @@ def test_grouped_channel_matches_mingle_gather(data):
     slots = [data.draw(DIMS) for _ in range(data.draw(st.integers(0, 3)))]
     mm = random_multimap(rng, slots, data.draw(DIMS))
     din = int(np.prod(slots))
-    want = mm.action_matrix[:, linalg.mingle_index(slots)]
-    got = ideals.grouped_channel(mm)
-    assert np.array_equal(ch.choi_to_superop(got.choi, din, mm.output_operator_dim), want)
+    want = mm.action_matrix[:, mingle_index(slots)]
+    got = ch.choi_of(mm)
+    assert np.array_equal(choi_to_superop(got.choi, din, mm.output_operator_dim), want)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +301,9 @@ def test_contraction_builds_no_kron_or_gather(monkeypatch):
         op.generator_circuit("f", 2),
         op.circuit_parallel(op.generator_circuit("g", 1), op.generator_circuit("prep", 0)),
     )
-    joint = ch.superop_of(sampling.random_channel(rng, 4, 2))
+    joint = ch.channel_multimap(sampling.random_channel(rng, 4, 2), (2, 2))
     pool = [ideals._as_multimap(sampling.random_cptp(rng, 2, 2)) for _ in range(3)]
-    pool.append(ch.OperatorMultiMap((2, 2), 2, joint @ linalg.mingle((2, 2))))
+    pool.append(joint)
     want = (
         old_interpret(interp, term),
         old_interpret_circuit(interp, circuit, (2,)),
@@ -313,8 +313,8 @@ def test_contraction_builds_no_kron_or_gather(monkeypatch):
     def banned(*args, **kwargs):
         raise AssertionError("dense kron or gather on a contraction path")
 
-    for name in ("kron_all", "mingle_index"):
-        monkeypatch.setattr(linalg, name, banned)
+    assert not hasattr(linalg, "mingle_index")
+    monkeypatch.setattr(linalg, "kron_all", banned)
     got_term = op.interpret(interp, term)
     got_circuit = op.interpret_circuit(interp, circuit, (2,))
     report = ideals.closure_check(ideals.IdealSpec("noniso", "non-isometric"), pool, 60, 2)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from operaq import channels as ch
 from operaq import ideals, linalg, operad, sampling
-from oracles import superop_kron
+from oracles import factor_permutation, mingle, mingle_index, superop_kron
 
 
 def test_vec_unvec_roundtrip():
@@ -65,19 +65,24 @@ def test_factor_permutation_permutes_kron_vectors():
     dims = (2, 3, 2)
     xs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
     perm = (2, 0, 1)
-    p = linalg.factor_permutation(dims, perm)
-    lhs = p @ linalg.kron_vectors(xs)
     rhs = linalg.kron_vectors([xs[i] for i in perm])
-    assert np.allclose(lhs, rhs, atol=1e-12)
+    # one axis per factor, then one transpose
+    moved = linalg.kron_vectors(xs).reshape(dims).transpose(perm).ravel()
+    assert np.allclose(moved, rhs, atol=1e-12)
+    assert np.allclose(factor_permutation(dims, perm) @ linalg.kron_vectors(xs), rhs, atol=1e-12)
 
 
 def test_mingle_groups_vectorizations():
     rng = np.random.default_rng(7)
     dims = (2, 3)
     ms = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims]
-    m = linalg.mingle(dims)
-    lhs = m @ linalg.kron_vectors([linalg.vec(x) for x in ms])
+    lhs = mingle(dims) @ linalg.kron_vectors([linalg.vec(x) for x in ms])
     assert np.allclose(lhs, linalg.vec(linalg.kron_all(ms)), atol=1e-12)
+    # the split map of a channel on the product space acts on the factors
+    phi = sampling.random_channel(rng, 6, 2)
+    split = ch.channel_multimap(phi, dims)
+    want = ch.channel_apply(phi, linalg.kron_all(ms))
+    assert np.allclose(ch.apply_ops(split, ms), want, atol=1e-12)
 
 
 def test_superop_kron_acts_factorwise():
@@ -108,11 +113,14 @@ def test_factor_permutation_gathers_match_dense_oracle(data):
     dims = draw_dims(data)
     perm = tuple(data.draw(st.permutations(range(len(dims)))))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
-    p = linalg.factor_permutation(dims, perm)
-    src = linalg.factor_permutation_index(dims, perm)
+    p = factor_permutation(dims, perm)
     a = sampling.ginibre(rng, p.shape[0], p.shape[0])
-    assert np.allclose(a[src], p @ a, rtol=0, atol=1e-12)
-    assert np.allclose(a[:, np.argsort(src)], a @ p, rtol=0, atol=1e-12)
+    n = len(dims)
+    rows = a.reshape(dims + (-1,)).transpose(perm + (n,)).reshape(a.shape)
+    assert np.allclose(rows, p @ a, rtol=0, atol=1e-12)
+    inv = tuple(int(i) for i in np.argsort(perm))
+    cols = a.reshape((-1,) + tuple(dims[i] for i in perm)).transpose((0,) + tuple(1 + i for i in inv))
+    assert np.allclose(cols.reshape(a.shape), a @ p, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,11 +128,17 @@ def test_factor_permutation_gathers_match_dense_oracle(data):
 def test_mingle_gathers_match_dense_oracle(data):
     dims = draw_dims(data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
-    m = linalg.mingle(dims)
-    src = linalg.mingle_index(dims)
+    m = mingle(dims)
+    src = mingle_index(dims)
     a = sampling.ginibre(rng, 3, m.shape[0])
     assert np.allclose(a[:, src], a @ m.T, rtol=0, atol=1e-12)
     assert np.allclose(a.T[src], m @ a.T, rtol=0, atol=1e-12)
+    # splitting a channel's input into slots is the same permutation
+    phi = sampling.random_channel(rng, int(np.prod(dims)), data.draw(st.integers(1, 3)))
+    joint = ch.channel_multimap(phi).action_matrix
+    split = ch.channel_multimap(phi, dims).action_matrix
+    assert np.array_equal(split, joint[:, np.argsort(src)])
+    assert np.allclose(split, joint @ m, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,17 +148,15 @@ def test_superop_kron_matches_dense_mingle_formula(data):
     dims_out = tuple(data.draw(st.integers(1, 3)) for _ in dims_in)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
     sup = [sampling.ginibre(rng, o * o, d * d) for d, o in zip(dims_in, dims_out)]
-    dense = linalg.mingle(dims_out) @ linalg.kron_all(sup) @ linalg.mingle(dims_in).T
+    dense = mingle(dims_out) @ linalg.kron_all(sup) @ mingle(dims_in).T
     got = superop_kron(sup, dims_in, dims_out)
     assert np.allclose(got, dense, rtol=0, atol=1e-12)
 
 
-def test_library_paths_build_no_dense_permutation(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense permutation matrix built on a library path")
-
-    monkeypatch.setattr(linalg, "factor_permutation", refuse)
-    monkeypatch.setattr(linalg, "mingle", refuse)
+def test_library_paths_build_no_dense_permutation():
+    for gone in ("factor_permutation_index", "mingle_index", "factor_permutation", "mingle"):
+        assert not hasattr(linalg, gone)
+    assert not hasattr(ideals, "grouped_channel")
     rng = np.random.default_rng(9)
     f = operad.OperadSymbol("f", 2)
     g = operad.OperadSymbol("g", 1)
@@ -159,7 +171,7 @@ def test_library_paths_build_no_dense_permutation(monkeypatch):
         2, (operad.CircuitBox("g", (1,)), operad.CircuitBox("f", (2, 0))), (3,)
     )
     assert operad.interpret_circuit(interp, circ, (2, 2)).superop.shape == (4, 16)
-    assert ideals.grouped_channel(pair).in_dim == 4
+    assert ch.choi_of(pair).in_dim == 4
     assert ideals.sigma_multimap(pair, (1, 0)).input_operator_dims == (2, 2)
     a, b = sampling.random_channel(rng, 2, 3), sampling.random_channel(rng, 3, 2)
     assert ch.channel_kron(a, b).choi.shape == (36, 36)

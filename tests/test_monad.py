@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operaq import channels as ch
-from operaq import ideals, linalg, monad, operad as op
+from operaq import linalg, monad, operad as op
 from operaq import sampling
 from operaq.errors import DimensionMismatchError, NotCompletelyPositiveError
 
@@ -12,17 +12,10 @@ G = op.OperadSymbol("g", 1)
 SYMBOLS = [F, G]
 
 
-def bilinear_from_channel(channel):
-    # (a, b) -> Phi(a (x) b) out of a channel on the product space
-    mm = ch.channel_multimap(channel)
-    d = int(np.sqrt(channel.in_dim))
-    return ch.OperatorMultiMap((d, d), channel.out_dim, mm.action_matrix @ linalg.mingle((d, d)))
-
-
 def cp_interpretation(rng):
     spec = op.OperadSpec((F, G, op.OperadSymbol("id", 1)))
     assign = {
-        "f": bilinear_from_channel(sampling.random_channel(rng, 4, 2)),
+        "f": ch.channel_multimap(sampling.random_channel(rng, 4, 2), (2, 2)),
         "g": ch.channel_multimap(sampling.random_channel(rng, 2, 2)),
         "id": ch.identity_multimap(2),
     }
@@ -209,7 +202,7 @@ def test_cptp_family_matches_callable_sweep(data):
     interp = op.Interpretation(
         spec,
         {
-            "f": bilinear_from_channel(sampling.random_channel(rng, 4, 2)),
+            "f": ch.channel_multimap(sampling.random_channel(rng, 4, 2), (2, 2)),
             "g": ch.channel_multimap(sampling.random_channel(rng, 2, 2)),
             "id": ch.identity_multimap(2),
             "prep": ch.OperatorMultiMap((), 2, linalg.vec(sampling.random_density(rng, 2))[:, None]),
@@ -390,7 +383,7 @@ def test_stinespring_circuit_boxes_match_callable_sweeps(data):
     big = n * anc
     env = big // m
     # the joint box is X -> u X u^dag, so its single Kraus operator is u up to a phase
-    u = ch.kraus_from_choi(ideals.grouped_channel(boxes["joint_unitary"])).operators[0]
+    u = ch.kraus_from_choi(ch.choi_of(boxes["joint_unitary"])).operators[0]
     assert np.allclose(u.conj().T @ u, np.eye(big), rtol=0, atol=1e-10)
     e00 = linalg.matrix_unit(anc, 0, 0)
     old = {

@@ -74,14 +74,12 @@ def test_operad_axiom_suite_clean():
 def qubit_interpretation(rng, extra=()):
     spec = op.OperadSpec(tuple(SYMBOLS) + (op.OperadSymbol("id", 1), op.OperadSymbol("prep", 0)) + tuple(extra))
     assign = {
-        "f": ch.channel_multimap(sampling.random_channel(rng, 4, 2)),
+        # the bilinear map (a, b) -> f(a (x) b) of a channel on the product space
+        "f": ch.channel_multimap(sampling.random_channel(rng, 4, 2), (2, 2)),
         "g": ch.channel_multimap(sampling.random_channel(rng, 2, 2)),
         "id": ch.identity_multimap(2),
         "prep": ch.multimap_from_function(lambda: sampling.random_density(rng, 2), (), 2),
     }
-    # f takes one 4-dim slot; retype it as the bilinear map (a, b) -> f(a (x) b)
-    mm = assign["f"]
-    assign["f"] = ch.OperatorMultiMap((2, 2), 2, mm.action_matrix @ linalg.mingle((2, 2)))
     return op.Interpretation(spec, assign)
 
 
