@@ -30,6 +30,18 @@ report = ideals.closure_check(noniso, pool, trials=300, seed=4)
 print("closure checks:", report["checks"], " violations:", len(report["violations"]))
 print("note:", report["note"])
 
+# ideal inclusion: every certified-unclonable operation is also certified
+# unbroadcastable
+clone_certs = (dep, ch.depolarizing_channel(2, 0.75))
+broadcast_certs = clone_certs + (
+    ch.depolarizing_channel(2, 1.0),
+    ch.multimap_from_function(lambda x: linalg.partial_trace(x, (2, 2), 0), (4,), 2),
+)
+no_clone = ideals.IdealSpec("no-clone-certificates", "certificate-list", members=clone_certs)
+no_broadcast = ideals.IdealSpec("no-broadcast-certificates", "certificate-list", members=broadcast_certs)
+chain = ideals.ideal_inclusion_check(no_clone, no_broadcast, pool + list(broadcast_certs))
+print("no-clone inside no-broadcast:", chain["passed"], " inner members:", chain["inner_members"])
+
 # ---- a formal cloning generator and the quotient ------------------------------
 
 # Clone_2 is syntax only: no linear action is ever assigned to it

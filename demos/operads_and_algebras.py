@@ -87,3 +87,32 @@ circuit, boxes = monad.stinespring_circuit(dep)
 print("circuit boxes:", [b.symbol for b in circuit.boxes])
 realized = monad.circuit_channel(circuit, boxes, 2)
 print("realization Choi distance:", ch.channel_distance_bound(realized, dep))
+
+# ---- composing circuits --------------------------------------------------------
+
+# two qubit channels as one-box circuits: parallel composition realizes their
+# tensor product, sequential composition their composite
+a = sampling.random_channel(rng, 2, 2)
+b = sampling.random_channel(rng, 2, 2)
+boxes = {"a": ch.channel_multimap(a), "b": ch.channel_multimap(b)}
+box_a, box_b = op.generator_circuit("a", 1), op.generator_circuit("b", 1)
+side_by_side = monad.circuit_channel(op.circuit_parallel(box_a, box_b), boxes, (2, 2))
+print("parallel vs channel_kron:", linalg.frobenius(side_by_side.choi - ch.channel_kron(a, b).choi))
+
+# interchange law: a on the first wire, then b on the second, is the same
+# process as both at once
+wire = op.identity_circuit(1)
+staggered = op.circuit_compose(op.circuit_parallel(wire, box_b), op.circuit_parallel(box_a, wire))
+staggered_channel = monad.circuit_channel(staggered, boxes, (2, 2))
+print("interchange deviation:", linalg.frobenius(staggered_channel.choi - side_by_side.choi))
+
+# b after a on one wire against the product of their superoperators
+in_sequence = monad.circuit_channel(op.circuit_compose(box_b, box_a), boxes, 2)
+product = boxes["b"].action_matrix @ boxes["a"].action_matrix
+composite = ch.choi_of(ch.OperatorMultiMap((2,), 2, product))
+print("sequential vs composite:", linalg.frobenius(in_sequence.choi - composite.choi))
+
+# the representation of the product channel is the product of the
+# representations, on product generators
+compat = monad.monoidal_compat_check(a, b, interp, trials=10, seed=7)
+print("monoidal compatibility:", compat["passed"], " residual:", compat["max_residual"])

@@ -94,7 +94,7 @@ def cmd_check_cp(objs, paths, tol, seed):
     cp = bool(low >= -tol["eig"])
     result = {"cp": cp, "min_eigenvalue": low}
     if isinstance(op, channels.OperatorMultiMap) and op.arity >= 2:
-        result["slotwise"] = channels.mcp_check(op, seed=0, tol=tol["eig"])
+        result["slotwise"] = channels.mcp_check(op, tol=tol["eig"])
     return result, cp
 
 

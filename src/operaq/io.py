@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from . import channels, ideals, monad, multilinear, operad
+from . import channels, ideals, multilinear, operad
 from .errors import SchemaError
 
 SCHEMA = "operaq/1"
@@ -33,14 +33,16 @@ def _unpair(entry, ctx: str) -> complex:
         raise SchemaError(f"{ctx}: non-numeric complex entry") from None
 
 
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", bool: "a boolean"}
 _REQUIRED = object()
 
 
 def _typed(value, ctx: str, kind):
     """value refused unless it has the JSON type kind (None: any); int means
-    a whole number, 2.0 included."""
-    if kind is int and (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+    a whole number, 2.0 included, and never true or false."""
+    if kind is int and not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
         return int(value)
     if kind is None or kind is not int and isinstance(value, kind):
         return value
@@ -81,15 +83,6 @@ def decode_matrix(obj, ctx: str = "matrix") -> np.ndarray:
         raise SchemaError(f"{ctx}: data has {len(data)} entries for shape {r}x{c}")
     flat = np.array([_unpair(e, ctx) for e in data], dtype=complex)
     return flat.reshape(r, c)
-
-
-def encode_vector(v) -> dict:
-    v = np.asarray(v, dtype=complex).ravel()
-    return encode_matrix(v.reshape(-1, 1))
-
-
-def decode_vector(obj, ctx: str = "vector") -> np.ndarray:
-    return decode_matrix(obj, ctx).ravel()
 
 
 def encode_tensor(t) -> dict:
@@ -159,10 +152,6 @@ def decode_channel(obj, ctx: str = "channel") -> channels.QuantumChannel:
     raise SchemaError(f"{ctx}: unknown repr {form!r}")
 
 
-def encode_kraus(ks: channels.KrausSet) -> dict:
-    return {"operators": [encode_matrix(k) for k in ks.operators]}
-
-
 def decode_kraus(obj, ctx: str = "kraus") -> channels.KrausSet:
     ops = _need(obj, "operators", ctx, list)
     return channels.KrausSet(
@@ -183,7 +172,7 @@ def decode_multilinear_map(obj, ctx: str = "map") -> multilinear.MultilinearVect
     dims = _ints(_need(obj, "input_dims", ctx), f"{ctx}.input_dims")
     out = _need(obj, "output_dim", ctx, int)
     mat = decode_matrix(_need(obj, "matrix", ctx), f"{ctx}.matrix")
-    field = obj.get("field", "complex")
+    field = _need(obj, "field", ctx, str, "complex")
     return multilinear.MultilinearVectorMap(dims, out, mat, field)
 
 
@@ -219,12 +208,6 @@ def decode_operation(obj, ctx: str = "operation"):
 
 def encode_dilation(cd: channels.ChannelDilation) -> dict:
     return {"env_dim": int(cd.env_dim), "isometry": encode_matrix(cd.isometry)}
-
-
-def decode_dilation(obj, ctx: str = "dilation") -> channels.ChannelDilation:
-    env = _need(obj, "env_dim", ctx, int)
-    v = decode_matrix(_need(obj, "isometry", ctx), f"{ctx}.isometry")
-    return channels.ChannelDilation(env, v)
 
 
 def encode_representation(rep: channels.StarRepresentation) -> dict:
@@ -311,7 +294,7 @@ def decode_operad_spec(obj, ctx: str = "operad") -> operad.OperadSpec:
     symbols = []
     for i, g in enumerate(gens):
         gctx = f"{ctx}.generators[{i}]"
-        name = str(_need(g, "name", gctx))
+        name = _need(g, "name", gctx, str)
         sig = _need(g, "signature", gctx, list, None)
         if sig is not None:
             if len(sig) != 2:
@@ -319,7 +302,7 @@ def decode_operad_spec(obj, ctx: str = "operad") -> operad.OperadSpec:
             sig = (_ints(sig[0], f"{gctx}.signature[0]"), _typed(sig[1], f"{gctx}.signature[1]", int))
         symbols.append(
             operad.OperadSymbol(
-                name, _need(g, "arity", gctx, int), sig, bool(g.get("formal", False))
+                name, _need(g, "arity", gctx, int), sig, _need(g, "formal", gctx, bool, False)
             )
         )
     return operad.OperadSpec(tuple(symbols))
@@ -347,43 +330,6 @@ def decode_interpretation(obj, ctx: str = "interpretation") -> operad.Interpreta
     return operad.Interpretation(spec, assign, _need(obj, "carrier_dim", ctx, int, None))
 
 
-def encode_monad_element(x: monad.MonadElement) -> dict:
-    entries = []
-    for coeff, term, args in x.terms:
-        encoded_args = []
-        for a in args:
-            if isinstance(a, monad.MonadElement):
-                encoded_args.append({"element": encode_monad_element(a)})
-            else:
-                encoded_args.append(encode_matrix(a))
-        entries.append(
-            {"coeff": _pair(coeff), "sym": encode_term(term), "args": encoded_args}
-        )
-    return {"terms": entries}
-
-
-def decode_monad_element(obj, spec: operad.OperadSpec, ctx: str = "element") -> monad.MonadElement:
-    entries = _need(obj, "terms", ctx, list)
-    decoded = []
-    for i, e in enumerate(entries):
-        ectx = f"{ctx}.terms[{i}]"
-        coeff = _unpair(_need(e, "coeff", ectx), f"{ectx}.coeff")
-        # "sym" is the documented key; "term" is accepted as an alias
-        tree = e.get("sym", e.get("term"))
-        if tree is None:
-            raise SchemaError(f"{ectx}: missing field 'sym'")
-        term = decode_term(tree, spec, f"{ectx}.sym")
-        args = []
-        for j, a in enumerate(_need(e, "args", ectx, list, [])):
-            actx = f"{ectx}.args[{j}]"
-            if isinstance(a, dict) and "element" in a:
-                args.append(decode_monad_element(a["element"], spec, actx))
-            else:
-                args.append(decode_matrix(a, actx))
-        decoded.append((coeff, term, tuple(args)))
-    return monad.MonadElement(tuple(decoded))
-
-
 def encode_ideal_spec(spec: ideals.IdealSpec) -> dict:
     def enc(op):
         return encode_multimap(ideals._as_multimap(op))
@@ -397,8 +343,8 @@ def encode_ideal_spec(spec: ideals.IdealSpec) -> dict:
 
 
 def decode_ideal_spec(obj, ctx: str = "ideal") -> ideals.IdealSpec:
-    name = str(_need(obj, "name", ctx))
-    predicate = str(_need(obj, "predicate", ctx))
+    name = _need(obj, "name", ctx, str)
+    predicate = _need(obj, "predicate", ctx, str)
     members = tuple(
         decode_operation(m, f"{ctx}.members[{i}]")
         for i, m in enumerate(_need(obj, "members", ctx, list, []))
@@ -482,8 +428,3 @@ def load_json(path: str):
         ) from e
     except RecursionError:
         raise SchemaError(f"{path}: nested too deeply to parse") from None
-
-
-def save_json(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))

@@ -117,14 +117,6 @@ def elements_equal(a: MonadElement, b: MonadElement, tol: float = 1e-12) -> bool
     return not remaining
 
 
-def element_add(a: MonadElement, b: MonadElement) -> MonadElement:
-    return MonadElement(a.terms + b.terms)
-
-
-def element_scale(c, a: MonadElement) -> MonadElement:
-    return MonadElement(tuple((c * c0, t, args) for c0, t, args in a.terms))
-
-
 def unit(v) -> MonadElement:
     """v as a one-slot generator over the operadic unit."""
     return MonadElement(((1.0, operad.unit_term(), (v,)),))
@@ -276,15 +268,6 @@ def _trial_term(rng, trial: int, pool):
     if trial % 2 == 0:
         return _corolla(pool[int(rng.integers(len(pool)))])
     return operad.random_term(rng, pool)
-
-
-def cptp_family(alg: AlgebraMap, symbol) -> channels.OperatorMultiMap:
-    """The multilinear map (a_1, ..., a_n) -> eval([s; a_1, ..., a_n])."""
-    sym = symbol if isinstance(symbol, operad.OperadSymbol) else alg.interpretation.operad[symbol]
-    mm = operad.interpret(alg.interpretation, _corolla(sym), leaf_dim=alg.carrier_dim)
-    if alg.post is None:
-        return mm
-    return operad._compose_multimaps(channels.channel_multimap(alg.post), [mm])
 
 
 def algebra_law_suite(
@@ -536,10 +519,9 @@ def monoidal_compat_check(
     interp,
     trials: int = 20,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> dict:
     """Compare the product-channel representation against the product of the
-    representations on product generators.
+    representations on product generators, within 1e-10.
 
     Slot convention for the interleaving: all slots of the first factor
     precede those of the second.  Each trial evaluates a decorated term
@@ -573,6 +555,7 @@ def monoidal_compat_check(
             channels.channel_apply(phi_1, y_1), channels.channel_apply(phi_2, y_2)
         )
         worst = max(worst, float(linalg.frobenius(lhs - rhs)))
+    tol = 1e-10
     return {
         "passed": worst <= tol,
         "max_residual": worst,

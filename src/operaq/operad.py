@@ -4,14 +4,16 @@ category, with interpretation into operator multimaps.
 Terms are leaf-labeled trees: a term of arity n has n leaves whose slot
 labels form a permutation of 0..n-1, leaf j consuming the j-th input.
 Permutation nodes are a lazy spelling of the symmetric action; canonical
-forms contain none.  Circuits are wire DAGs; their canonical form is the
-earliest-firing schedule with a deterministic within-layer order, which
-makes the interchange law hold as equality of canonical forms.
+forms contain none.  Circuits are wire DAGs, built from generators and
+identity wires by sequential and parallel composition; their value is the
+superoperator of the wire network, so circuits that differ only in the
+order of independent boxes, as the two sides of the interchange law do,
+have the same value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -511,10 +513,6 @@ def identity_circuit(n: int) -> CircuitTerm:
     return CircuitTerm(n, (), tuple(range(n)))
 
 
-def permutation_circuit(perm) -> CircuitTerm:
-    return CircuitTerm(len(tuple(perm)), (), tuple(int(p) for p in perm))
-
-
 def generator_circuit(symbol: str, arity: int) -> CircuitTerm:
     return CircuitTerm(arity, (CircuitBox(symbol, tuple(range(arity))),), (arity,))
 
@@ -568,25 +566,6 @@ def _layer_assignment(c: CircuitTerm) -> list[int]:
         if not progressed:
             raise DimensionMismatchError("circuit wiring is cyclic")
     return box_layer
-
-
-def canonical_circuit(c: CircuitTerm) -> CircuitTerm:
-    """Earliest-firing normal form: boxes fire as soon as their inputs
-    exist, layers are sorted deterministically, wires renumbered."""
-    box_layer = _layer_assignment(c)
-    remap = {w: w for w in range(c.n_in)}
-    new_boxes = []
-    for lv in sorted(set(box_layer), key=lambda x: x) if box_layer else []:
-        members = [k for k, l in enumerate(box_layer) if l == lv]
-        members.sort(key=lambda k: (tuple(remap[w] for w in c.boxes[k].in_wires), c.boxes[k].symbol))
-        for k in members:
-            remap[c.n_in + k] = c.n_in + len(new_boxes)
-            new_boxes.append(CircuitBox(c.boxes[k].symbol, tuple(remap[w] for w in c.boxes[k].in_wires)))
-    return CircuitTerm(c.n_in, tuple(new_boxes), tuple(remap[w] for w in c.out_wires))
-
-
-def circuits_equal(a: CircuitTerm, b: CircuitTerm) -> bool:
-    return canonical_circuit(a) == canonical_circuit(b)
 
 
 @dataclass(frozen=True)

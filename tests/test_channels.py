@@ -136,7 +136,8 @@ def test_channel_apply_matches_kraus():
     ks = sampling.random_cptp(rng, 3, 2)
     q = ch.choi_of(ks)
     rho = sampling.random_density(rng, 3)
-    assert np.allclose(ch.channel_apply(q, rho), ch.kraus_apply(ks, rho), atol=1e-11)
+    want = sum(k @ rho @ k.conj().T for k in ks.operators)
+    assert np.allclose(ch.channel_apply(q, rho), want, atol=1e-11)
     assert np.trace(ch.channel_apply(q, rho)) == pytest.approx(1.0)
 
 
@@ -223,14 +224,15 @@ def test_mcp_check_passes_product_of_cp_maps():
     mm = ch.multimap_from_function(
         lambda a, b: ch.apply_ops(lam, [a]) * np.trace(b), (2, 2), 2
     )
-    report = ch.mcp_check(mm, sample_count=3, seed=11)
+    report = ch.mcp_check(mm)
     assert report["passed"]
-    assert report["cases"] > 0
+    # per slot: the maximally mixed state, two projectors, five Ginibre states
+    assert report["cases"] == 2 * (3 + 5)
 
 
 def test_mcp_check_flags_hidden_transpose():
     mm = ch.multimap_from_function(lambda a, b: np.trace(a) * b.T, (2, 2), 2)
-    report = ch.mcp_check(mm, sample_count=3, seed=11)
+    report = ch.mcp_check(mm)
     assert not report["passed"]
     assert any(v["slot"] == 1 for v in report["violations"])
     assert min(v["min_eigenvalue"] for v in report["violations"]) < -1e-6
@@ -239,8 +241,8 @@ def test_mcp_check_flags_hidden_transpose():
 def test_mcp_check_reduces_to_is_cp_for_one_slot():
     rng = np.random.default_rng(8)
     good = ch.channel_multimap(sampling.random_channel(rng, 2, 2))
-    assert ch.mcp_check(good, seed=0)["passed"]
-    assert not ch.mcp_check(ch.transpose_multimap(2), seed=0)["passed"]
+    assert ch.mcp_check(good)["passed"]
+    assert not ch.mcp_check(ch.transpose_multimap(2))["passed"]
 
 
 def test_factor_representation_is_star_homomorphism():

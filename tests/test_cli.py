@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from operaq import channels as ch
 import operaq
@@ -15,7 +16,7 @@ from operaq import cli, ideals, io, linalg, monad, multilinear, operad, sampling
 
 def write(tmp_path, name, obj):
     path = tmp_path / name
-    io.save_json(obj, str(path))
+    path.write_text(io.canonical_json(obj), encoding="utf-8")
     return str(path)
 
 
@@ -634,13 +635,20 @@ def _choi_obj():
     return io.encode_channel(ch.identity_channel(2))
 
 
+DELETE = object()
+
+
 def _with(obj, path, value):
-    """A copy of the artifact obj with the field at path (a key list) set."""
+    """A copy of the artifact obj with the field at path (a key list) set,
+    or removed when value is DELETE."""
     obj = json.loads(json.dumps(obj))
     target = obj
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     return obj
 
 
@@ -680,6 +688,10 @@ MALFORMED = {
         lambda: [_with(io.encode_multimap(ch.identity_multimap(2)), ["input_dims"], 2)],
     ),
     "reps-int": ("minimal", lambda: [_with(_dilation_obj(), ["reps"], 5)]),
+    "field-list": (
+        "adjoint",
+        lambda: [{**io.encode_multilinear_map(multilinear.MultilinearVectorMap((2,), 2, np.eye(2))), "field": ["real"]}],
+    ),
 }
 
 
@@ -695,3 +707,120 @@ def test_mistyped_field_is_an_input_error_with_a_report(tmp_path, capsys, case):
     rep = json.loads(out)
     assert rep["error"] and "result" not in rep
     assert "expected" in rep["error"]
+
+
+# each artifact holds a JSON value of the wrong type that a decoder could
+# coerce: true as the whole number 1, the string "false" as a true flag, a
+# number as a name
+COERCIBLE = {
+    "dim-true": (
+        "check-tp",
+        lambda: [{
+            "in_dim": True, "out_dim": True, "repr": "choi",
+            "data": {"rows": True, "cols": True, "data": [[1.0, 0.0]]},
+        }],
+        ".in_dim",
+    ),
+    "arity-true": ("operad-laws", lambda: [{"generators": [{"name": "f", "arity": True}]}], ".arity"),
+    "slot-false": ("term-eval", lambda: [qubit_interp_obj(), {"op": "dep", "args": [{"slot": False}]}], ".slot"),
+    "formal-string": (
+        "term-eval",
+        lambda: [
+            _with(qubit_interp_obj(), ["operad", "generators", 0, "formal"], "false"),
+            {"op": "dep", "args": [{"slot": 0}]},
+        ],
+        ".formal",
+    ),
+    "generator-name-int": ("operad-laws", lambda: [{"generators": [{"name": 7, "arity": 1}]}], ".name"),
+    "ideal-name-int": ("ideal-member", lambda: [_ideal_obj(name=7), _choi_obj()], ".name"),
+    "predicate-int": ("ideal-member", lambda: [_ideal_obj(predicate=7), _choi_obj()], ".predicate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COERCIBLE))
+def test_coercible_field_is_an_input_error_naming_it(tmp_path, case):
+    command, build, field = COERCIBLE[case]
+    argv = ["--command", command, "--seed", "0"]
+    for i, obj in enumerate(build()):
+        argv += ["--in", write(tmp_path, f"in{i}.json", obj)]
+    code, rep = invoke(tmp_path, *argv)
+    assert code == 2 and "result" not in rep
+    assert f"{field}: expected" in rep["error"]
+
+
+def _fuzz_fixtures():
+    """One small artifact of each kind: (command, extra argv, inputs, the
+    decoding the command does before it computes)."""
+    dep = ch.depolarizing_channel(2, 0.5)
+    bilinear = ch.multimap_from_function(lambda a, b: np.trace(b) * a, (2, 2), 2)
+    vector_map = multilinear.MultilinearVectorMap((2, 2), 2, np.arange(8.0).reshape(2, 4))
+    spec = {"generators": [
+        {"name": "f", "arity": 2, "signature": [[2, 2], 2], "formal": False},
+        {"name": "g", "arity": 1},
+    ]}
+    term = {"perm": [1, 0], "of": {"op": "mix", "args": [{"slot": 0}, {"op": "dep", "args": [{"slot": 1}]}]}}
+    cert = {"name": "cert", "predicate": "certificate-list", "members": [io.encode_channel(dep)], "non_members": []}
+    pool = {"pool": [io.encode_channel(dep), io.encode_multimap(ch.identity_multimap(2))]}
+
+    def term_decode(objs):
+        io.decode_term(objs[1], io.decode_interpretation(objs[0]).operad)
+
+    return [
+        ("check-tp", [], [_choi_obj()], lambda objs: io.decode_operation(objs[0])),
+        ("check-cp", [], [io.encode_channel(dep, "kraus")], lambda objs: io.decode_operation(objs[0])),
+        ("check-tp", [], [{"operators": [io.encode_matrix(np.eye(2))]}], lambda objs: io.decode_operation(objs[0])),
+        ("check-cp", [], [io.encode_multimap(bilinear)], lambda objs: io.decode_operation(objs[0])),
+        ("adjoint", [], [io.encode_multilinear_map(vector_map)], lambda objs: io.decode_multilinear_map(objs[0])),
+        ("zigzag", [], [_dilation_obj()], lambda objs: io.decode_multilinear_dilation(objs[0])),
+        ("feedback", [], [feedback_obj(0.5 * np.eye(2))], lambda objs: io.decode_feedback_problem(objs[0])),
+        ("operad-laws", ["--tol", "trials=2"], [spec], lambda objs: io.decode_operad_spec(objs[0])),
+        ("term-eval", [], [qubit_interp_obj(), term], term_decode),
+        ("ideal-member", [], [cert, io.encode_channel(dep)],
+         lambda objs: (io.decode_ideal_spec(objs[0]), io.decode_operation(objs[1]))),
+        ("ideal-closure", ["--tol", "trials=3"], [_ideal_obj(), pool],
+         lambda objs: (io.decode_ideal_spec(objs[0]), io.decode_pool(objs[1]))),
+    ]
+
+
+FUZZ_FIXTURES = _fuzz_fixtures()
+
+# one value of each JSON type, kept small: a replaced dim or arity must not
+# ask for a large allocation or a long loop
+REPLACEMENTS = (None, True, False, 0, -1, 3, 2.5, "", "x", [], [0], {}, {"x": 1})
+
+
+def _field_paths(obj, at=()):
+    """The key path of every object field and of the first and last entry
+    of every list inside a JSON value."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+    elif isinstance(obj, list):
+        items = [(i, obj[i]) for i in sorted({0, len(obj) - 1})] if obj else []
+    else:
+        items = []
+    for key, value in items:
+        yield at + (key,)
+        yield from _field_paths(value, at + (key,))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_artifact_gets_a_report_and_exit_2_when_undecodable(tmp_path, data):
+    command, extra, inputs, decode = data.draw(st.sampled_from(FUZZ_FIXTURES))
+    k = data.draw(st.integers(0, len(inputs) - 1))
+    path = data.draw(st.sampled_from([()] + list(_field_paths(inputs[k]))))
+    value = data.draw(st.sampled_from(((DELETE,) if path else ()) + REPLACEMENTS))
+    objs = list(inputs)
+    # wrapped in a one-entry list, the empty path replaces the whole artifact
+    objs[k] = _with([inputs[k]], (0, *path), value)[0]
+    argv = ["--command", command, "--seed", "0", *extra]
+    for i, obj in enumerate(objs):
+        argv += ["--in", write(tmp_path, f"in{i}.json", obj)]
+    out = tmp_path / "report.json"
+    code = cli.main(argv + ["--out", str(out)])
+    rep = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert code in (0, 1, 2) and rep["command"] == command
+    try:
+        decode(objs)
+    except (operaq.errors.OperaqError, ValueError):
+        assert code == 2 and "error" in rep and "result" not in rep

@@ -75,8 +75,6 @@ def test_monad_evaluation_builds_no_multimap(monkeypatch):
     assert monad.homomorphism_check(lambda a: a, plain, plain, trials=6, seed=2)["passed"]
     assert monad.operational_equivalence(phi, phi, interp, term_trials=4, seed=3)["equivalent"]
     assert monad.monoidal_compat_check(phi, phi, interp, trials=4, seed=4)["passed"]
-    with pytest.raises(AssertionError, match="multimap"):
-        monad.cptp_family(plain, "f")
 
 
 def test_wrong_size_decoration_is_a_dimension_error():

@@ -762,7 +762,7 @@ def test_clone_pattern_rejects_every_interpreted_term():
     assign["pair"] = ch.multimap_from_function(lambda x: np.kron(x, prep), (2,), 4)
     interp = operad.Interpretation(interp.operad, assign)
     t = operad.Apply(interp.operad["pair"], (operad.Leaf(0),))
-    report = ideals.clone_pattern_match(t, interp, 2, trials=5, seed=0)
+    report = ideals.clone_pattern_match(t, interp, trials=5, seed=0)
     assert not report["matches"]
     assert not report["uninterpretable"]
     assert report["witness"]["residual"] > 0.1
@@ -774,7 +774,7 @@ def test_clone_pattern_flags_formal_terms_as_uninterpretable():
     bigger = ideals.adjoin_formal(interp0.operad, gen)
     interp = operad.Interpretation(bigger, dict(interp0.assign))
     t = operad.Apply(bigger[gen.name], (operad.Leaf(0),))
-    report = ideals.clone_pattern_match(t, interp, 2)
+    report = ideals.clone_pattern_match(t, interp)
     assert report["uninterpretable"]
     assert not report["matches"]
 
@@ -783,7 +783,7 @@ def test_clone_pattern_needs_square_output():
     interp = qubit_interp()
     t = operad.Apply(interp.operad["dep"], (operad.Leaf(0),))
     with pytest.raises(DimensionMismatchError):
-        ideals.clone_pattern_match(t, interp, 2)
+        ideals.clone_pattern_match(t, interp)
 
 
 def test_inclusion_certificates_sit_inside_non_isometric():

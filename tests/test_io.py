@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from operaq import channels as ch
-from operaq import ideals, io, linalg, monad, multilinear, operad, sampling
+from operaq import ideals, io, linalg, multilinear, operad, sampling
 from operaq.errors import SchemaError
 
 
@@ -24,9 +24,7 @@ def test_matrix_rejects_missing_field():
         io.decode_matrix({"cols": 2, "data": []})
 
 
-def test_vector_and_tensor_roundtrip():
-    v = np.array([1.0, 2.0 - 1j, 3.0])
-    assert np.array_equal(io.decode_vector(io.encode_vector(v)), v)
+def test_tensor_roundtrip():
     t = np.arange(24, dtype=complex).reshape(2, 3, 4)
     assert np.array_equal(io.decode_tensor(io.encode_tensor(t)), t)
 
@@ -64,8 +62,8 @@ def test_operation_sniffing():
         io.decode_operation(io.encode_channel(ch.identity_channel(2))),
         ch.QuantumChannel,
     )
-    ks = ch.KrausSet((np.eye(2, dtype=complex),))
-    assert isinstance(io.decode_operation(io.encode_kraus(ks)), ch.KrausSet)
+    ks = {"operators": [io.encode_matrix(np.eye(2))]}
+    assert isinstance(io.decode_operation(ks), ch.KrausSet)
     phi = multilinear.MultilinearVectorMap((2,), 2, np.eye(2, dtype=complex))
     assert isinstance(
         io.decode_operation(io.encode_multilinear_map(phi)),
@@ -78,16 +76,11 @@ def test_operation_sniffing():
 def test_dilation_roundtrips():
     rng = np.random.default_rng(2)
     phi = sampling.random_channel(rng, 2, 2)
-    ks = ch.kraus_from_choi(phi)
-    cd = ch.stinespring_from_kraus(ks)
-    back = io.decode_dilation(io.encode_dilation(cd))
-    assert back.env_dim == cd.env_dim
-    assert np.array_equal(back.isometry, cd.isometry)
-    dil = ch.heisenberg_dilation(ks)
-    back2 = io.decode_multilinear_dilation(io.encode_multilinear_dilation(dil))
-    assert back2.factor_dims == dil.factor_dims
+    dil = ch.heisenberg_dilation(ch.kraus_from_choi(phi))
+    back = io.decode_multilinear_dilation(io.encode_multilinear_dilation(dil))
+    assert back.factor_dims == dil.factor_dims
     a = ch.dilation_multimap(dil).action_matrix
-    b = ch.dilation_multimap(back2).action_matrix
+    b = ch.dilation_multimap(back).action_matrix
     assert np.array_equal(a, b)
 
 
@@ -125,40 +118,6 @@ def test_interpretation_roundtrip():
     assert np.allclose(
         back.assign["dep"].action_matrix, interp.assign["dep"].action_matrix
     )
-
-
-def test_monad_element_roundtrip_with_nesting():
-    f = operad.OperadSymbol("f", 2)
-    g = operad.OperadSymbol("g", 1)
-    spec = operad.OperadSpec((f, g))
-    rng = np.random.default_rng(3)
-    inner = monad.unit(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    x = monad.MonadElement(
-        (
-            (
-                2.0 - 1.0j,
-                operad.Apply(f, (operad.Leaf(0), operad.Leaf(1))),
-                (inner, rng.normal(size=(2, 2)) + 0j),
-            ),
-        )
-    )
-    back = io.decode_monad_element(io.encode_monad_element(x), spec)
-    assert monad.elements_equal(back, x)
-
-
-def test_monad_element_accepts_term_key_alias():
-    spec = operad.OperadSpec((operad.OperadSymbol("g", 1),))
-    obj = {
-        "terms": [
-            {
-                "coeff": [1.0, 0.0],
-                "term": {"op": "g", "args": [{"slot": 0}]},
-                "args": [io.encode_matrix(np.eye(2))],
-            }
-        ]
-    }
-    x = io.decode_monad_element(obj, spec)
-    assert len(x.terms) == 1
 
 
 def test_ideal_spec_roundtrip_and_bad_predicate():
