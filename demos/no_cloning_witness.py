@@ -62,9 +62,11 @@ interp = op.Interpretation(
 )
 
 # terms mentioning the formal generator collapse to a bottom symbol in the
-# quotient; ordinary terms survive untouched
+# quotient; terms built from non-members survive untouched.  g(?0) would
+# collapse too: g is the depolarizing channel, a member of the ideal, while
+# id is isometric and so not a member
 t_formal = op.Apply(spec[clone.name], (op.Apply(g, (op.Leaf(0),)),))
-t_plain = op.Apply(g, (op.Leaf(0),))
+t_plain = op.Apply(spec["id"], (op.Leaf(0),))
 print("formal term collapses:", ideals.contains_bottom(ideals.quotient(t_formal, noniso, interp, leaf_dim=2)))
 print("plain term survives:", not ideals.contains_bottom(ideals.quotient(t_plain, noniso, interp, leaf_dim=2)))
 

@@ -1,6 +1,6 @@
 """Completely positive maps: Choi matrices, Kraus sets, Stinespring
-dilations, minimal dilations with intertwiners, and the tensor
-decomposition with its explicit n-adjoint.
+dilations, minimal dilations with intertwiners, the Kraus-tensor
+decomposition and the n-adjoint.
 
 Superoperators act on column-stacked vectorizations throughout, so the
 matrix unit E_kl of M_d has vec index l*d + k.  There is one Choi layout,
@@ -535,10 +535,8 @@ def intertwiner(d_min: MultilinearDilation, d_other: MultilinearDilation):
         "co_isometry_defect": linalg.op_norm(u @ uh - np.eye(u.shape[0])),
         "maps_isometry_residual": float(np.max(np.abs(u @ d_min.isometry - d_other.isometry))),
         "intertwining_residual": max(
-            float(np.max(np.abs(u @ rm.images[k, l] - ro.images[k, l] @ u)))
+            float(np.max(np.abs(u @ rm.images - ro.images @ u)))
             for rm, ro in zip(d_min.reps, d_other.reps)
-            for k in range(rm.algebra_dim)
-            for l in range(rm.algebra_dim)
         ),
         "reconstruction_agreement": agreement,
     }
@@ -553,59 +551,47 @@ def intertwiner(d_min: MultilinearDilation, d_other: MultilinearDilation):
 class KrausTensorDecomposition:
     """Phi(x_1..x_n) = sum_alpha outer(T_alpha(x_1..x_{n-1}), L_alpha(x_n)).
 
-    T_alpha and L_alpha act on vectorized operator slots; T_alpha returns
-    the column V^dag (prod_{j<n} pi_j(x_j)) e_alpha and L_alpha the row
-    content e_alpha^dag pi_n(x_n) V, both as vectors in the source space.
+    t[alpha] (shape m x prod_{j<n} d_j^2) and l[alpha] (m x d_n^2) act on
+    vectorized slots: T_alpha returns the column V^dag (prod_{j<n}
+    pi_j(x_j)) e_alpha and L_alpha the row content e_alpha^dag pi_n(x_n) V.
     """
 
-    t_maps: tuple[ml.MultilinearVectorMap, ...]
-    l_maps: tuple[ml.MultilinearVectorMap, ...]
+    t: np.ndarray
+    l: np.ndarray
     input_operator_dims: tuple[int, ...]
-    output_operator_dim: int
 
 
 def kraus_tensor_decompose(dil: MultilinearDilation) -> KrausTensorDecomposition:
-    dims = dil.algebra_dims
     m, c = dil.source_dim, dil.carrier_dim
-    lead = tuple(d * d for d in dims[:-1])
-    # t[u, :, alpha] = V^dag (prod_{j<n} pi_j(units_u)) e_alpha
+    # t[alpha, :, u] = V^dag (prod_{j<n} pi_j(units_u)) e_alpha
     t = (linalg.dagger(dil.isometry) @ _unit_chain(dil.reps[:-1], np.eye(c))).reshape(-1, m, c)
-    # l[x, alpha, :] = e_alpha^dag pi_n(unit_x) V
+    # l[alpha, :, x] = e_alpha^dag pi_n(unit_x) V
     l = _unit_chain(dil.reps[-1:], dil.isometry)
-    t_maps = tuple(ml.MultilinearVectorMap(lead, m, t[:, :, a].T) for a in range(c))
-    l_maps = tuple(ml.MultilinearVectorMap((dims[-1] ** 2,), m, l[:, a, :].T) for a in range(c))
-    return KrausTensorDecomposition(t_maps, l_maps, dims, m)
+    return KrausTensorDecomposition(t.transpose(2, 1, 0), l.transpose(1, 2, 0), dil.algebra_dims)
 
 
 def decomposition_apply(decomp: KrausTensorDecomposition, mats) -> np.ndarray:
     mats = [linalg.as_matrix(x) for x in mats]
-    if len(mats) != len(decomp.input_operator_dims):
-        raise DimensionMismatchError("wrong number of inputs for the decomposition")
-    lead = [linalg.vec(x) for x in mats[:-1]]
-    tail = linalg.vec(mats[-1])
-    m = decomp.output_operator_dim
-    out = np.zeros((m, m), dtype=complex)
-    for t_map, l_map in zip(decomp.t_maps, decomp.l_maps):
-        out += np.outer(ml.apply(t_map, lead), ml.apply(l_map, [tail]))
-    return out
-
-
-def n_adjoint(decomp: KrausTensorDecomposition) -> OperatorMultiMap:
-    """The adjoint multimap on Hilbert-Schmidt Riesz data.
-
-    Functionals are carried by their HS Riesz matrices (g = tr(G^dag .)).
-    The returned map takes (G, F_1, ..., F_{n-1}) to the Riesz matrix of
-    g(Phi(F_1, ..., F_{n-1}, .)); as with vector adjoints, the parameter
-    slots enter conjugated, so evaluate through n_adjoint_apply.
-    """
     dims = decomp.input_operator_dims
-    m = decomp.output_operator_dim
-    t = np.stack([t_map.matrix for t_map in decomp.t_maps])
-    l = np.stack([l_map.matrix for l_map in decomp.l_maps])
-    # at G = E_ab, whose vec index is b*m + a, and lead units u the Riesz
-    # matrix has vec conj(sum_alpha T_alpha[a, u] L_alpha[b, :])
-    action = np.einsum("zau,zbx->xbau", t, l).reshape(dims[-1] ** 2, -1)
-    return OperatorMultiMap((m,) + dims[:-1], dims[-1], np.conj(action))
+    if len(mats) != len(dims):
+        raise DimensionMismatchError("wrong number of inputs for the decomposition")
+    for x, d in zip(mats, dims):
+        if x.shape != (d, d):
+            raise DimensionMismatchError(f"input shape {x.shape} does not match slot dim {d}")
+    lead = linalg.kron_vectors([linalg.vec(x) for x in mats[:-1]])
+    return np.einsum("za,zb->ab", decomp.t @ lead, decomp.l @ linalg.vec(mats[-1]))
+
+
+def n_adjoint(mm: OperatorMultiMap) -> OperatorMultiMap:
+    """The dagger adjoint of the map on vectorized slots.  tr(A^dag B) is
+    the pairing of vec A and vec B, so it takes (G, F_1, ..., F_{n-1}) to
+    the HS Riesz matrix of tr(G^dag Phi(F_1, ..., F_{n-1}, .)); the
+    parameter slots enter conjugated, so evaluate through n_adjoint_apply.
+    """
+    dims = mm.input_operator_dims
+    m = mm.output_operator_dim
+    vector_map = ml.MultilinearVectorMap(tuple(d * d for d in dims), m * m, mm.action_matrix)
+    return OperatorMultiMap((m,) + dims[:-1], dims[-1], ml.adjoint(vector_map).matrix)
 
 
 def n_adjoint_apply(adj: OperatorMultiMap, g_riesz, f_riesz) -> np.ndarray:
@@ -616,10 +602,11 @@ def n_adjoint_apply(adj: OperatorMultiMap, g_riesz, f_riesz) -> np.ndarray:
 def n_adjoint_pairing_residual(
     decomp: KrausTensorDecomposition, adj: OperatorMultiMap, trials: int = 20, seed: int = 0
 ) -> float:
-    """Max deviation in g(Phi(F..., X)) = <X, Y>_HS over random complex data."""
+    """Max deviation in g(Phi(F..., X)) = <X, Y>_HS over random complex
+    data, Phi read off the Kraus-tensor factors and Y off the adjoint."""
     rng = np.random.default_rng(seed)
     dims = decomp.input_operator_dims
-    m = decomp.output_operator_dim
+    m = decomp.t.shape[1]
     worst = 0.0
 
     def rnd(d):

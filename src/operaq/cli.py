@@ -164,10 +164,9 @@ def cmd_adjoint(objs, paths, tol, seed):
 
 def cmd_nadjoint(objs, paths, tol, seed):
     dil = _decode_dilation_like(objs[0], paths[0])
-    decomp = channels.kraus_tensor_decompose(dil)
-    adj = channels.n_adjoint(decomp)
+    adj = channels.n_adjoint(channels.dilation_multimap(dil))
     res = channels.n_adjoint_pairing_residual(
-        decomp, adj, trials=int(tol["trials"]), seed=seed
+        channels.kraus_tensor_decompose(dil), adj, trials=int(tol["trials"]), seed=seed
     )
     result = {"adjoint": io.encode_multimap(adj), "pairing_residual": float(res)}
     return result, bool(res <= tol["residual"])

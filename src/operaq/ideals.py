@@ -13,8 +13,8 @@ the numerical content of the no-go statement at that dimension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import numpy.linalg as npl
@@ -57,18 +57,15 @@ class IdealSpec:
 
 @dataclass(frozen=True)
 class FormalGenerator:
-    """A syntax-only generator: a name, a dimension, and the pointwise
-    behavior it is meant to have on pure states.  Never interpretable."""
+    """A syntax-only generator: a name and a dimension.  Never
+    interpretable."""
 
     name: str
     dim: int
-    specification: Optional[Callable] = None
 
 
 def clone_generator(d: int, name: Optional[str] = None) -> FormalGenerator:
-    return FormalGenerator(
-        name or f"Clone_{d}", d, lambda p: np.kron(p, p)
-    )
+    return FormalGenerator(name or f"Clone_{d}", d)
 
 
 def _as_multimap(op) -> channels.OperatorMultiMap:

@@ -264,10 +264,12 @@ def decode_term(obj, spec: operad.OperadSpec, ctx: str = "term"):
     if "slot" in obj:
         return operad.Leaf(_need(obj, "slot", ctx, int))
     if "perm" in obj:
-        return operad.Permuted(
-            _ints(obj["perm"], f"{ctx}.perm"),
-            decode_term(_need(obj, "of", ctx), spec, f"{ctx}.of"),
-        )
+        perm = _ints(obj["perm"], f"{ctx}.perm")
+        sub = decode_term(_need(obj, "of", ctx), spec, f"{ctx}.of")
+        n = operad.arity(sub)
+        if len(perm) != n:
+            raise SchemaError(f"{ctx}.perm: expected {n} entries, one per slot of the subterm, got {len(perm)}")
+        return operad.Permuted(perm, sub)
     name = _need(obj, "op", ctx, str)
     if name not in spec:
         raise SchemaError(f"{ctx}: symbol {name!r} is not in the operad")

@@ -137,46 +137,22 @@ def compose(psi: MultilinearVectorMap, parts) -> MultilinearVectorMap:
 
 
 def contravariant_residual(psi: MultilinearVectorMap, parts) -> float:
-    """Max over basis tuples of |LHS - RHS| for the adjoint-of-composite
-    identity: LHS evaluates [Psi o (Phi_...)]^dag directly, RHS routes the
-    functional through Psi^dag first and the last part's adjoint second,
-    with the leading parts evaluated on the parameter block.
+    """Max entry of |LHS - RHS| in the adjoint-of-composite identity.
+
+    LHS is the matrix of [Psi o (Phi_1, ..., Phi_k)]^dag.  RHS routes the
+    functional through Psi^dag first and Phi_k^dag second:
+
+        Phi_k^dag (Psi^dag (I_m (x) conj Phi_1 (x) ... (x) conj Phi_{k-1}) (x) I)
+
+    The leading parts enter conjugated because they sit in parameter slots,
+    whose Riesz vectors the adjoint matrices take conjugated.
     """
     parts = list(parts)
-    theta = compose(psi, parts)
-    theta_adj = adjoint(theta)
-    psi_adj = adjoint(psi)
+    theta_adj = adjoint(compose(psi, parts)).matrix
     last = parts[-1]
-    last_adj = adjoint(last)
-
-    m_out = psi.output_dim
-    lead_blocks = [p.input_dims for p in parts[:-1]]
-    last_lead = last.input_dims[:-1]
-    eval_dim = last.input_dims[-1]
-
-    flat_dims = [d for block in lead_blocks for d in block] + list(last_lead)
-    worst = 0.0
-    for i0 in range(m_out):
-        w = linalg.basis_vector(m_out, i0)
-        for multi in np.ndindex(*flat_dims) if flat_dims else [()]:
-            gs = [linalg.basis_vector(d, i) for d, i in zip(flat_dims, multi)]
-            y_adj = adjoint_apply(theta_adj, w, gs)
-
-            # leading parts evaluated on their own parameter blocks
-            pos = 0
-            ys = []
-            for p, block in zip(parts[:-1], lead_blocks):
-                ys.append(apply(p, gs[pos : pos + len(block)]))
-                pos += len(block)
-            beta = adjoint_apply(psi_adj, w, ys)
-            r = adjoint_apply(last_adj, beta, gs[pos:])
-
-            for t in range(eval_dim):
-                x = linalg.basis_vector(eval_dim, t)
-                lhs = functional_value(y_adj, x)
-                rhs = functional_value(r, x)
-                worst = max(worst, abs(lhs - rhs))
-    return worst
+    lead = reduce(np.kron, [np.conj(p.matrix) for p in parts[:-1]], np.eye(psi.output_dim))
+    routed = np.kron(adjoint(psi).matrix @ lead, np.eye(int(np.prod(last.input_dims[:-1]))))
+    return float(np.max(np.abs(theta_adj - adjoint(last).matrix @ routed), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 
 from operaq import channels as ch
 from operaq import linalg
+from operaq import multilinear as ml
 
 
 def factor_permutation_index(dims, perm) -> np.ndarray:
@@ -127,3 +128,73 @@ def pad_dilation(dil, extra_dim):
                 images[k, l] = linalg.kron(rep.images[k, l], np.eye(extra_dim))
         reps.append(ch.StarRepresentation(d, c * extra_dim, images))
     return ch.MultilinearDilation(tuple(reps), v, None)
+
+
+def decomposition_apply(decomp, mats):
+    """Phi(x_1..x_n) as the sum over alpha of outer(T_alpha(lead), L_alpha(tail)),
+    one Kraus-tensor index at a time."""
+    lead = linalg.kron_vectors([linalg.vec(x) for x in mats[:-1]])
+    tail = linalg.vec(mats[-1])
+    m = decomp.t.shape[1]
+    out = np.zeros((m, m), dtype=complex)
+    for t_alpha, l_alpha in zip(decomp.t, decomp.l):
+        out += np.outer(t_alpha @ lead, l_alpha @ tail)
+    return out
+
+
+def n_adjoint(decomp):
+    """The n-adjoint assembled from the Kraus-tensor factors: at G = E_ab,
+    whose vec index is b*m + a, and lead units u the Riesz matrix has vec
+    conj(sum_alpha T_alpha[a, u] L_alpha[b, :])."""
+    dims = decomp.input_operator_dims
+    m = decomp.t.shape[1]
+    action = np.einsum("zau,zbx->xbau", decomp.t, decomp.l).reshape(dims[-1] ** 2, -1)
+    return ch.OperatorMultiMap((m,) + dims[:-1], dims[-1], np.conj(action))
+
+
+def contravariant_residual(psi, parts) -> float:
+    """The adjoint-of-composite identity swept over basis tuples: LHS
+    evaluates [Psi o (Phi_...)]^dag directly, RHS routes the functional
+    through Psi^dag first and the last part's adjoint second, with the
+    leading parts evaluated on the parameter block."""
+    parts = list(parts)
+    theta_adj = ml.adjoint(ml.compose(psi, parts))
+    psi_adj = ml.adjoint(psi)
+    last = parts[-1]
+    last_adj = ml.adjoint(last)
+
+    m_out = psi.output_dim
+    lead_blocks = [p.input_dims for p in parts[:-1]]
+    last_lead = last.input_dims[:-1]
+    eval_dim = last.input_dims[-1]
+
+    flat_dims = [d for block in lead_blocks for d in block] + list(last_lead)
+    worst = 0.0
+    for i0 in range(m_out):
+        w = linalg.basis_vector(m_out, i0)
+        for multi in np.ndindex(*flat_dims) if flat_dims else [()]:
+            gs = [linalg.basis_vector(d, i) for d, i in zip(flat_dims, multi)]
+            y_adj = ml.adjoint_apply(theta_adj, w, gs)
+            pos = 0
+            ys = []
+            for p, block in zip(parts[:-1], lead_blocks):
+                ys.append(ml.apply(p, gs[pos : pos + len(block)]))
+                pos += len(block)
+            beta = ml.adjoint_apply(psi_adj, w, ys)
+            r = ml.adjoint_apply(last_adj, beta, gs[pos:])
+            for t in range(eval_dim):
+                x = linalg.basis_vector(eval_dim, t)
+                lhs = ml.functional_value(y_adj, x)
+                rhs = ml.functional_value(r, x)
+                worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def intertwining_residual(u, d_min, d_other) -> float:
+    """max |U pi_min(E_kl) - pi_other(E_kl) U| one matrix unit at a time."""
+    return max(
+        float(np.max(np.abs(u @ rm.images[k, l] - ro.images[k, l] @ u)))
+        for rm, ro in zip(d_min.reps, d_other.reps)
+        for k in range(rm.algebra_dim)
+        for l in range(rm.algebra_dim)
+    )

@@ -172,7 +172,7 @@ def test_06_separable_decomposition_pairing_and_zigzag():
                 worst = max(worst, float(np.max(np.abs(via - direct))))
         assert worst <= 1e-8
 
-        adj = ch.n_adjoint(decomp)
+        adj = ch.n_adjoint(ch.dilation_multimap(dil))
         assert ch.n_adjoint_pairing_residual(decomp, adj, trials=10, seed=i) <= 1e-8
 
         if isometric:

@@ -362,7 +362,7 @@ def test_kraus_tensor_decompose_reconstructs():
     rng = np.random.default_rng(18)
     dil = ch.minimal_dilation(sampling.random_separable_dilation(rng, (2, 2), 3, (1, 2)))
     decomp = ch.kraus_tensor_decompose(dil)
-    assert len(decomp.t_maps) == dil.carrier_dim
+    assert decomp.t.shape == decomp.l.shape == (dil.carrier_dim, 3, 4)
     mm = ch.dilation_multimap(dil)
     for _ in range(5):
         mats = [sampling.ginibre(rng, 2, 2), sampling.ginibre(rng, 2, 2)]
@@ -372,7 +372,7 @@ def test_kraus_tensor_decompose_reconstructs():
 
 def test_n_adjoint_of_identity_channel():
     dil = ch.minimal_dilation(ch.heisenberg_dilation(ch.KrausSet((np.eye(2, dtype=complex),))))
-    adj = ch.n_adjoint(ch.kraus_tensor_decompose(dil))
+    adj = ch.n_adjoint(ch.dilation_multimap(dil))
     assert adj.input_operator_dims == (2,)
     assert np.allclose(adj.action_matrix, np.eye(4), atol=1e-10)
 
@@ -382,7 +382,7 @@ def test_n_adjoint_pairing_identity():
     for _ in range(5):
         dil = ch.minimal_dilation(sampling.random_separable_dilation(rng, (2, 2), 2, (2, 1)))
         decomp = ch.kraus_tensor_decompose(dil)
-        adj = ch.n_adjoint(decomp)
+        adj = ch.n_adjoint(ch.dilation_multimap(dil))
         assert ch.n_adjoint_pairing_residual(decomp, adj, trials=10, seed=7) < 1e-8
 
 
@@ -578,8 +578,8 @@ def test_dilation_closed_forms_match_callable_sweeps(data):
     assert np.allclose(ch.dilation_multimap(dil).action_matrix, sweep.action_matrix, rtol=0, atol=1e-10)
 
     decomp = ch.kraus_tensor_decompose(dil)
-    assert len(decomp.t_maps) == len(decomp.l_maps) == c
-    for alpha, (t_map, l_map) in enumerate(zip(decomp.t_maps, decomp.l_maps)):
+    assert decomp.t.shape[0] == decomp.l.shape[0] == c
+    for alpha in range(c):
         e_a = linalg.basis_vector(c, alpha)
 
         def t_fn(*vecs):
@@ -593,21 +593,61 @@ def test_dilation_closed_forms_match_callable_sweeps(data):
 
         t_old = ml.from_function(t_fn, tuple(d * d for d in dims[:-1]), m)
         l_old = ml.from_function(l_fn, (dims[-1] ** 2,), m)
-        assert np.allclose(t_map.matrix, t_old.matrix, rtol=0, atol=1e-10)
-        assert np.allclose(l_map.matrix, l_old.matrix, rtol=0, atol=1e-10)
+        assert np.allclose(decomp.t[alpha], t_old.matrix, rtol=0, atol=1e-10)
+        assert np.allclose(decomp.l[alpha], l_old.matrix, rtol=0, atol=1e-10)
 
     def adjoint_fn(g, *fs):
-        lead = [linalg.vec(x) for x in fs]
+        lead = linalg.kron_vectors([linalg.vec(x) for x in fs])
         vals = sum(
-            (linalg.dagger(g) @ ml.apply(t_map, lead)) @ l_map.matrix
-            for t_map, l_map in zip(decomp.t_maps, decomp.l_maps)
+            (linalg.dagger(g) @ (t_alpha @ lead)) @ l_alpha for t_alpha, l_alpha in zip(decomp.t, decomp.l)
         )
         return np.conj(linalg.unvec(vals, dims[-1]))
 
     adj_old = ch.multimap_from_function(adjoint_fn, (m,) + dims[:-1], dims[-1])
-    adj = ch.n_adjoint(decomp)
+    adj = ch.n_adjoint(ch.dilation_multimap(dil))
     assert adj.input_operator_dims == adj_old.input_operator_dims
     assert np.allclose(adj.action_matrix, adj_old.action_matrix, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_n_adjoint_and_decomposition_match_the_kraus_index_oracles(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dil = draw_dilation(data, rng)
+    decomp = ch.kraus_tensor_decompose(dil)
+    adj = ch.n_adjoint(ch.dilation_multimap(dil))
+    old = oracles.n_adjoint(decomp)
+    assert adj.input_operator_dims == old.input_operator_dims
+    assert adj.output_operator_dim == old.output_operator_dim
+    assert np.allclose(adj.action_matrix, old.action_matrix, rtol=0, atol=1e-12)
+    mats = [sampling.ginibre(rng, d, d) for d in dil.algebra_dims]
+    assert np.allclose(
+        ch.decomposition_apply(decomp, mats), oracles.decomposition_apply(decomp, mats), rtol=0, atol=1e-12
+    )
+    assert ch.n_adjoint_pairing_residual(decomp, adj, trials=3, seed=0) < 1e-10
+
+
+def test_decomposition_apply_refuses_a_wrong_count_or_slot_shape():
+    rng = np.random.default_rng(25)
+    decomp = ch.kraus_tensor_decompose(sampling.random_separable_dilation(rng, (2, 3), 2))
+    with pytest.raises(DimensionMismatchError):
+        ch.decomposition_apply(decomp, [np.eye(2)])
+    with pytest.raises(DimensionMismatchError):
+        ch.decomposition_apply(decomp, [np.eye(2), np.eye(2)])
+    with pytest.raises(DimensionMismatchError):
+        ch.decomposition_apply(decomp, [np.eye(2), np.ones((1, 9))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_intertwining_residual_equals_the_unit_loop(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dil = draw_dilation(data, rng)
+    padded = ch.pad_dilation(dil, data.draw(st.integers(1, 2)))
+    other = rotated(padded, sampling.random_unitary(rng, padded.carrier_dim))
+    small = ch.minimal_dilation(dil)
+    u, report = ch.intertwiner(small, other)
+    assert report["intertwining_residual"] == oracles.intertwining_residual(u, small, other)
 
 
 @settings(max_examples=30, deadline=None)
@@ -688,8 +728,8 @@ def test_closed_forms_sweep_no_callable(monkeypatch):
     rng = np.random.default_rng(24)
     dil = sampling.random_separable_dilation(rng, (2, 2, 2), 3, (1, 2, 1))
     assert ch.dilation_multimap(dil).input_operator_dims == (2, 2, 2)
-    decomp = ch.kraus_tensor_decompose(dil)
-    assert ch.n_adjoint(decomp).input_operator_dims == (3, 2, 2)
+    assert ch.kraus_tensor_decompose(dil).t.shape == (16, 3, 16)
+    assert ch.n_adjoint(ch.dilation_multimap(dil)).input_operator_dims == (3, 2, 2)
     small = ch.minimal_dilation(ch.pad_dilation(dil, 2))
     assert ch.intertwiner(small, dil)[1]["isometry_defect"] < 1e-8
     assert ch.choi_of(ch.dilation_multimap(dil)).choi.shape == (24, 24)

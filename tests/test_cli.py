@@ -666,6 +666,8 @@ def _dilation_obj():
 
 
 # each artifact is valid JSON whose fields have the wrong JSON type
+_MIX01 = {"op": "mix", "args": [{"slot": 0}, {"slot": 1}]}
+
 MALFORMED = {
     "matrix-data-int": ("check-cp", lambda: [_with(_choi_obj(), ["data", "data"], 5)]),
     "matrix-rows-null": ("check-cp", lambda: [_with(_choi_obj(), ["data", "rows"], None)]),
@@ -683,6 +685,9 @@ MALFORMED = {
     "term-args-int": ("term-eval", lambda: [qubit_interp_obj(), {"op": "dep", "args": 5}]),
     "slot-list": ("term-eval", lambda: [qubit_interp_obj(), {"slot": [0]}]),
     "perm-int": ("term-eval", lambda: [qubit_interp_obj(), {"perm": 5, "of": {"slot": 0}}]),
+    "perm-too-long": ("term-eval", lambda: [qubit_interp_obj(), {"perm": [1, 0, 2], "of": _MIX01}]),
+    "perm-too-short": ("term-eval", lambda: [qubit_interp_obj(), {"perm": [0], "of": _MIX01}]),
+    "perm-empty-over-leaf": ("term-eval", lambda: [qubit_interp_obj(), {"perm": [], "of": {"slot": 0}}]),
     "input-dims-int": (
         "check-cp",
         lambda: [_with(io.encode_multimap(ch.identity_multimap(2)), ["input_dims"], 2)],

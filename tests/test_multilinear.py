@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from operaq import linalg, multilinear as ml
 from operaq.errors import DimensionMismatchError, IllPosedFeedbackError
+import oracles
 
 
 def random_map(rng, input_dims, output_dim, field="complex"):
@@ -107,6 +108,23 @@ def test_contravariant_identity_mixed_arities():
     psi = random_map(rng, (3, 2), 2)
     parts = [random_map(rng, (2,), 3), random_map(rng, (2, 2, 2), 2)]
     assert ml.contravariant_residual(psi, parts) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_contravariant_residual_matches_the_basis_sweep(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    field = data.draw(st.sampled_from(["real", "complex"]))
+    k = data.draw(st.integers(1, 3))
+    mids = tuple(data.draw(st.integers(1, 3)) for _ in range(k))
+    psi = random_map(rng, mids, data.draw(st.integers(1, 3)), field)
+    parts = []
+    for mid in mids:
+        block = tuple(data.draw(st.integers(1, 3)) for _ in range(data.draw(st.integers(1, 2))))
+        parts.append(random_map(rng, block, mid, field))
+    closed = ml.contravariant_residual(psi, parts)
+    assert closed <= 1e-12
+    assert abs(closed - oracles.contravariant_residual(psi, parts)) <= 1e-12
 
 
 def test_feedback_scalar_example():
