@@ -52,13 +52,13 @@ print("interpreted action:", mm.input_operator_dims, "->", mm.output_operator_di
 
 # ---- algebra evaluation and the algebra laws --------------------------------
 
-alg = monad.algebra_from_interpretation(interp)
+# the interpretation is the algebra: algebra_eval is its structure map
 v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-print("unit law deviation:", float(np.max(np.abs(monad.algebra_eval(alg, monad.unit(v)) - v))))
+print("unit law deviation:", float(np.max(np.abs(monad.algebra_eval(interp, monad.unit(v)) - v))))
 
 x = monad.random_element(rng, [f, g], dim=2, depth=2, term_depth=1)
-lhs = monad.algebra_eval(alg, monad.mu(x))
-rhs = monad.algebra_eval(alg, monad.t_map(lambda el: monad.algebra_eval(alg, el), x))
+lhs = monad.algebra_eval(interp, monad.mu(x))
+rhs = monad.algebra_eval(interp, monad.t_map(lambda el: monad.algebra_eval(interp, el), x))
 print("multiplication law residual:", float(linalg.frobenius(lhs - rhs)))
 
 # ---- operational equivalence of channel presentations ------------------------

@@ -234,12 +234,10 @@ def cmd_homcheck(objs, paths, tol, seed):
         op = channels.channel_multimap(op)
     if not isinstance(op, channels.OperatorMultiMap) or op.arity != 1:
         raise SchemaError(f"{paths[0]}: the map under test must take one operator slot")
-    alg_a = monad.algebra_from_interpretation(io.decode_interpretation(objs[1], paths[1]))
-    alg_b = monad.algebra_from_interpretation(io.decode_interpretation(objs[2], paths[2]))
     report = monad.homomorphism_check(
         lambda x: channels.apply_ops(op, [x]),
-        alg_a,
-        alg_b,
+        io.decode_interpretation(objs[1], paths[1]),
+        io.decode_interpretation(objs[2], paths[2]),
         trials=int(tol["trials"]),
         seed=seed,
         tol=tol["residual"],
@@ -460,8 +458,12 @@ def run(command: str, inputs, tol_pairs, seed: Optional[int]):
         LOG.error("%s", e)
         envelope["error"] = str(e) or type(e).__name__
         return envelope, 2
-    except FileNotFoundError as e:
-        envelope["error"] = f"{e.filename}: file not found"
+    except OSError as e:
+        # an input that cannot be read: missing, a directory, unreadable
+        if isinstance(e, FileNotFoundError):
+            envelope["error"] = f"{e.filename}: file not found"
+        else:
+            envelope["error"] = f"{e.filename}: cannot read ({e.strerror})"
         return envelope, 2
 
 

@@ -64,8 +64,8 @@ class FormalGenerator:
     dim: int
 
 
-def clone_generator(d: int, name: Optional[str] = None) -> FormalGenerator:
-    return FormalGenerator(name or f"Clone_{d}", d)
+def clone_generator(d: int) -> FormalGenerator:
+    return FormalGenerator(f"Clone_{d}", d)
 
 
 def _as_multimap(op) -> channels.OperatorMultiMap:
@@ -396,19 +396,14 @@ def _broadcast_system(states):
     return f, np.vstack([values, f, f])
 
 
-def cloning_mixture_gap(rho_1, rho_2, alpha: float = 0.5):
-    """Pointwise nonlinearity of the cloning specification on a mixture:
-    clone(mix) minus the mixed clones, and the cross-term expression it
-    equals (alpha * beta times it)."""
+def cloning_mixture_gap(rho_1, rho_2):
+    """Pointwise nonlinearity of the cloning specification on the equal
+    mixture: clone(mix) minus the mixed clones, and the cross-term
+    expression it equals a quarter of."""
     rho_1 = linalg.as_matrix(rho_1)
     rho_2 = linalg.as_matrix(rho_2)
-    beta = 1.0 - alpha
-    mixed = alpha * rho_1 + beta * rho_2
-    gap = (
-        np.kron(mixed, mixed)
-        - alpha * np.kron(rho_1, rho_1)
-        - beta * np.kron(rho_2, rho_2)
-    )
+    mixed = 0.5 * rho_1 + 0.5 * rho_2
+    gap = np.kron(mixed, mixed) - 0.5 * np.kron(rho_1, rho_1) - 0.5 * np.kron(rho_2, rho_2)
     expr = (
         np.kron(rho_1, rho_2)
         + np.kron(rho_2, rho_1)

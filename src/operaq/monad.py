@@ -5,10 +5,10 @@ term over the operad symbols and the v_i decorate its slots, either with
 carrier matrices or with nested elements.  Generators are kept in a
 symmetric-orbit canonical form: leaves relabelled to tree order with the
 decorations permuted alongside, so equal orbits collide structurally and
-merge.  unit and mu make this a monad; interpreting the symbols turns
-evaluation into an algebra structure map, and composing with a channel
-afterward gives the representation maps used for operational equivalence
-and circuit realization.
+merge.  unit and mu make this a monad.  An algebra is an interpretation of
+the symbols, with evaluation as its structure map; a channel's
+representation is that value pushed through the channel, which is what
+operational equivalence compares.
 """
 
 from __future__ import annotations
@@ -219,42 +219,16 @@ def monad_law_suite(symbols, trials: int = 100, seed: int = 0, dim: int = 2) -> 
 # algebras
 
 
-@dataclass(frozen=True)
-class AlgebraMap:
-    """Evaluation data over a fixed carrier: an interpretation of the
-    symbols, plus an optional channel applied after each term.  Plain
-    algebras (post None) satisfy the unit and multiplication laws;
-    representation maps trade the unit law for the attached channel."""
-
-    interpretation: operad.Interpretation
-    carrier_dim: int
-    post: Optional[channels.QuantumChannel] = None
-
-    @property
-    def output_dim(self) -> int:
-        return self.carrier_dim if self.post is None else self.post.out_dim
-
-
-def algebra_from_interpretation(interp: operad.Interpretation) -> AlgebraMap:
-    return AlgebraMap(interp, interp.carrier())
-
-
-def _term_value(alg: AlgebraMap, term, args) -> np.ndarray:
-    """post applied to the value of the decorated term."""
-    v = operad.evaluate(alg.interpretation, term, args, alg.carrier_dim)
-    return v if alg.post is None else channels.channel_apply(alg.post, v)
-
-
-def algebra_eval(alg: AlgebraMap, x: MonadElement) -> np.ndarray:
-    """sum of coeff * post(I(t)(v_1, ..., v_n)) over the generators of x."""
-    d = alg.output_dim
+def algebra_eval(interp: operad.Interpretation, x: MonadElement) -> np.ndarray:
+    """sum of coeff * I(t)(v_1, ..., v_n) over the generators of x."""
+    d = interp.carrier()
     total = np.zeros((d, d), dtype=complex)
     for coeff, term, args in x.terms:
         if any(isinstance(a, MonadElement) for a in args):
             raise DimensionMismatchError(
                 "nested element in a base slot; flatten with mu before evaluating"
             )
-        total += coeff * _term_value(alg, term, args)
+        total += coeff * operad.evaluate(interp, term, args, d)
     return total
 
 
@@ -276,18 +250,17 @@ def algebra_law_suite(
     """Check the algebra laws of an interpretation on random inputs: the
     unit law eval(unit(v)) = v exactly, and the multiplication law
     eval(mu(x)) = eval(t_map(eval, x)) within tol on depth-two elements."""
-    alg = algebra_from_interpretation(interp)
     symbols = _assigned_symbols(interp)
-    d = alg.carrier_dim
+    d = interp.carrier()
     rng = np.random.default_rng(seed)
     unit_worst = 0.0
     mult_worst = 0.0
     for _ in range(trials):
         v = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        unit_worst = max(unit_worst, float(np.max(np.abs(algebra_eval(alg, unit(v)) - v))))
+        unit_worst = max(unit_worst, float(np.max(np.abs(algebra_eval(interp, unit(v)) - v))))
         x = random_element(rng, symbols, dim=d, depth=2, term_depth=1)
-        lhs = algebra_eval(alg, mu(x))
-        rhs = algebra_eval(alg, t_map(lambda el: algebra_eval(alg, el), x))
+        lhs = algebra_eval(interp, mu(x))
+        rhs = algebra_eval(interp, t_map(lambda el: algebra_eval(interp, el), x))
         mult_worst = max(mult_worst, float(linalg.frobenius(lhs - rhs)))
     return {
         "unit_max_deviation": unit_worst,
@@ -303,35 +276,30 @@ def _assigned_symbols(interp: operad.Interpretation):
 
 def homomorphism_check(
     f: Callable,
-    alg_a: AlgebraMap,
-    alg_b: AlgebraMap,
+    interp_a: operad.Interpretation,
+    interp_b: operad.Interpretation,
     trials: int = 50,
     seed: int = 0,
-    out_map: Optional[Callable] = None,
     tol: float = 1e-10,
 ) -> dict:
-    """Test out_map(eval_A([t; a])) = eval_B([t; f(a)]) on random generators.
+    """Test f(eval_A([t; a])) = eval_B([t; f(a)]) on random generators.
 
-    out_map defaults to f, the plain homomorphism square; pass a different
-    map for an intertwining pair acting separately on inputs and outputs.
     Even trials use single-symbol generators, odd trials deeper terms."""
     rng = np.random.default_rng(seed)
-    if out_map is None:
-        out_map = f
-    symbols = _assigned_symbols(alg_a.interpretation)
+    d_a, d_b = interp_a.carrier(), interp_b.carrier()
+    symbols = _assigned_symbols(interp_a)
     if not symbols:
         raise UnassignedSymbolError("the source interpretation assigns no symbols")
-    d = alg_a.carrier_dim
     worst = 0.0
     witness = None
     for trial in range(trials):
         term = _trial_term(rng, trial, symbols)
         n = operad.arity(term)
         args = tuple(
-            rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n)
+            rng.normal(size=(d_a, d_a)) + 1j * rng.normal(size=(d_a, d_a)) for _ in range(n)
         )
-        lhs = out_map(_term_value(alg_a, term, args))
-        rhs = _term_value(alg_b, term, tuple(f(a) for a in args))
+        lhs = f(operad.evaluate(interp_a, term, args, d_a))
+        rhs = operad.evaluate(interp_b, term, tuple(f(a) for a in args), d_b)
         if np.shape(lhs) != np.shape(rhs):
             raise DimensionMismatchError(
                 f"the homomorphism square compares values of shapes "
@@ -348,23 +316,6 @@ def homomorphism_check(
         "tol": tol,
         "witness": witness,
     }
-
-
-def representation_of(
-    phi: channels.QuantumChannel, interp: operad.Interpretation
-) -> AlgebraMap:
-    """Structure map attached to a channel: evaluate the decorated term over
-    the interpretation, then push the value through the channel.
-
-    Composing with anything other than the identity gives up the unit law
-    on purpose; what remains is exactly the evaluation data compared by
-    operational_equivalence."""
-    d = interp.carrier()
-    if phi.in_dim != d:
-        raise DimensionMismatchError(
-            f"channel input dim {phi.in_dim} does not match the carrier dim {d}"
-        )
-    return AlgebraMap(interp, d, post=phi)
 
 
 def operational_equivalence(
@@ -384,9 +335,12 @@ def operational_equivalence(
     this sweep; the first disagreement is returned as a witness."""
     if (phi_a.in_dim, phi_a.out_dim) != (phi_b.in_dim, phi_b.out_dim):
         raise DimensionMismatchError("channels being compared must share dimensions")
-    # representation_of checks the carrier; each case is then evaluated once
-    # and its value pushed through both channels
-    d = representation_of(phi_a, interp).carrier_dim
+    # each case is evaluated once and its value pushed through both channels
+    d = interp.carrier()
+    if phi_a.in_dim != d:
+        raise DimensionMismatchError(
+            f"channel input dim {phi_a.in_dim} does not match the carrier dim {d}"
+        )
     units = [e for _, _, e in linalg.matrix_units(d)]
     worst = 0.0
     witness = None
@@ -503,14 +457,11 @@ def box_interpretation(boxes: dict) -> operad.Interpretation:
 
 
 def circuit_channel(circuit: operad.CircuitTerm, boxes: dict, in_dims) -> channels.QuantumChannel:
-    """Interpret a circuit with directly given box actions and package the
-    grouped superoperator as a channel between the product spaces."""
+    """Interpret a circuit with directly given box actions, as a channel
+    between the product spaces of its input and output wires."""
     if isinstance(in_dims, int):
         in_dims = (in_dims,)
-    wm = operad.interpret_circuit(box_interpretation(boxes), circuit, tuple(in_dims))
-    din = int(np.prod(wm.dims_in)) if wm.dims_in else 1
-    dout = int(np.prod(wm.dims_out)) if wm.dims_out else 1
-    return channels.choi_of(channels.OperatorMultiMap((din,), dout, wm.superop))
+    return channels.choi_of(operad.interpret_circuit(box_interpretation(boxes), circuit, in_dims))
 
 
 def monoidal_compat_check(

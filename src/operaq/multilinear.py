@@ -48,18 +48,18 @@ class MultilinearVectorMap:
         return self.matrix.reshape((self.output_dim,) + self.input_dims)
 
 
-def from_function(fn, input_dims, output_dim, field: str = "complex") -> MultilinearVectorMap:
+def from_function(fn, input_dims, output_dim) -> MultilinearVectorMap:
     """Build the matrix of a multilinear map by sweeping basis tuples."""
     input_dims = tuple(int(d) for d in input_dims)
     cols = int(np.prod(input_dims)) if input_dims else 1
     mat = np.zeros((output_dim, cols), dtype=complex)
     if not input_dims:
         mat[:, 0] = linalg.as_vector(fn())
-        return MultilinearVectorMap(input_dims, output_dim, mat, field)
+        return MultilinearVectorMap(input_dims, output_dim, mat)
     for c, multi in enumerate(np.ndindex(*input_dims)):
         args = [linalg.basis_vector(d, i) for d, i in zip(input_dims, multi)]
         mat[:, c] = linalg.as_vector(fn(*args))
-    return MultilinearVectorMap(input_dims, output_dim, mat, field)
+    return MultilinearVectorMap(input_dims, output_dim, mat)
 
 
 def apply(phi: MultilinearVectorMap, inputs) -> np.ndarray:

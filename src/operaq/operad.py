@@ -4,11 +4,12 @@ category, with interpretation into operator multimaps.
 Terms are leaf-labeled trees: a term of arity n has n leaves whose slot
 labels form a permutation of 0..n-1, leaf j consuming the j-th input.
 Permutation nodes are a lazy spelling of the symmetric action; canonical
-forms contain none.  Circuits are wire DAGs, built from generators and
-identity wires by sequential and parallel composition; their value is the
-superoperator of the wire network, so circuits that differ only in the
-order of independent boxes, as the two sides of the interchange law do,
-have the same value.
+forms contain none.  Circuits are wire networks whose boxes are listed in
+firing order, built from generators and identity wires by sequential and
+parallel composition; their value is an operator map with one slot per
+input wire and the output wires grouped into one operator, so circuits
+that differ only in the order of independent boxes, as the two sides of
+the interchange law do, have the same value.
 """
 
 from __future__ import annotations
@@ -371,15 +372,16 @@ class Interpretation:
         )
 
 
-def _contract(boxes, out_wires, in_wires, dim, grouped: bool) -> np.ndarray:
+def _contract(boxes, out_wires, in_wires, dim) -> np.ndarray:
     """Matrix of a wire network of operator maps, contracted back from the
     outputs.  boxes are (wire, in_wires, multimap) triples, each listed
     after the box that consumes its wire.  The running tensor has a
     (column, row) axis pair per output wire, then one per open wire; it
     starts as the identity, and each box swaps its wire's pair for its
-    inputs' pairs by one matrix product.  Columns come out grouped (the vec
-    of the joint operator) or slotwise.  numpy caps arrays at 64 axes, so
-    more than about 31 open slots raise ValueError."""
+    inputs' pairs by one matrix product.  Rows come out grouped (the vec of
+    the joint output operator) and columns slotwise, one input wire after
+    another.  numpy caps arrays at 64 axes, so more than about 31 open
+    slots raise ValueError."""
     k = len(out_wires)
     pairs = [dim[w] for w in out_wires for _ in "cr"]
     side = int(np.prod(pairs))
@@ -393,11 +395,8 @@ def _contract(boxes, out_wires, in_wires, dim, grouped: bool) -> np.ndarray:
         t = (flat @ mm.action_matrix).reshape(shape)
         live.remove(w)
         live += ins
-    ends = (range(0, 2 * k, 2), [2 * (k + live.index(w)) for w in in_wires])
-    if grouped:
-        order = [a + r for axes in ends for r in (0, 1) for a in axes]
-    else:
-        order = [a + r for axes in ends for a in axes for r in (0, 1)]
+    order = [a + r for r in (0, 1) for a in range(0, 2 * k, 2)]
+    order += [2 * (k + live.index(w)) + r for w in in_wires for r in (0, 1)]
     return t.transpose(order).reshape(side, -1)
 
 
@@ -409,7 +408,7 @@ def _compose_multimaps(base, children) -> channels.OperatorMultiMap:
     for w, c in enumerate(children, 1):
         boxes.append((w, range(len(dims), len(dims) + c.arity), c))
         dims += c.input_operator_dims
-    matrix = _contract(boxes, [0], range(n + 1, len(dims)), dims, grouped=False)
+    matrix = _contract(boxes, [0], range(n + 1, len(dims)), dims)
     return channels.OperatorMultiMap(tuple(dims[n + 1 :]), dims[0], matrix)
 
 
@@ -445,7 +444,7 @@ def interpret(interp: Interpretation, t: OperadTerm, leaf_dim: Optional[int] = N
     return channels.OperatorMultiMap(
         tuple(dims[w] for w in leaf_wire),
         dims[0],
-        _contract(boxes, [0], leaf_wire, dims, grouped=False),
+        _contract(boxes, [0], leaf_wire, dims),
     )
 
 
@@ -485,8 +484,9 @@ class CircuitBox:
 
 @dataclass(frozen=True)
 class CircuitTerm:
-    """Wires 0..n_in-1 are the inputs; box k produces wire n_in + k.  Every
-    wire is consumed exactly once, by a box or by the output row."""
+    """Wires 0..n_in-1 are the inputs; box k produces wire n_in + k and
+    reads only earlier wires, so the boxes are listed in firing order.
+    Every wire is consumed exactly once, by a box or by the output row."""
 
     n_in: int
     boxes: tuple[CircuitBox, ...]
@@ -501,6 +501,12 @@ class CircuitTerm:
             raise DimensionMismatchError("circuit references a wire that no box produces")
         if sorted(used) != sorted(wires):
             raise DimensionMismatchError("every wire must be consumed exactly once")
+        for k, b in enumerate(boxes):
+            if any(w >= self.n_in + k for w in b.in_wires):
+                raise DimensionMismatchError(
+                    f"box {k} ({b.symbol}) reads a wire made by itself or a later box; "
+                    "boxes are listed in firing order"
+                )
         object.__setattr__(self, "boxes", boxes)
         object.__setattr__(self, "out_wires", outs)
 
@@ -549,46 +555,16 @@ def circuit_parallel(a: CircuitTerm, b: CircuitTerm) -> CircuitTerm:
     return CircuitTerm(n, boxes, outs)
 
 
-def _layer_assignment(c: CircuitTerm) -> list[int]:
-    layer = {w: 0 for w in range(c.n_in)}
-    box_layer = [None] * len(c.boxes)
-    pending = set(range(len(c.boxes)))
-    while pending:
-        progressed = False
-        for k in sorted(pending):
-            b = c.boxes[k]
-            if all(w in layer for w in b.in_wires):
-                lv = 1 + max((layer[w] for w in b.in_wires), default=0)
-                box_layer[k] = lv
-                layer[c.n_in + k] = lv
-                pending.discard(k)
-                progressed = True
-        if not progressed:
-            raise DimensionMismatchError("circuit wiring is cyclic")
-    return box_layer
-
-
-@dataclass(frozen=True)
-class WireMap:
-    """A circuit's value: a superoperator between tensor products of
-    operator spaces, with its wire dimension profile."""
-
-    dims_in: tuple[int, ...]
-    dims_out: tuple[int, ...]
-    superop: np.ndarray
-
-
-def interpret_circuit(interp: Interpretation, c: CircuitTerm, in_dims) -> WireMap:
-    """The circuit's grouped superoperator: its boxes, latest firing first,
+def interpret_circuit(interp: Interpretation, c: CircuitTerm, in_dims) -> channels.OperatorMultiMap:
+    """The circuit's operator map, one slot per input wire and the output
+    wires grouped into one operator: its boxes, latest firing first,
     contracted back from the output wires."""
     in_dims = tuple(int(d) for d in in_dims)
     if len(in_dims) != c.n_in:
         raise DimensionMismatchError("one dimension per input wire required")
-    box_layer = _layer_assignment(c)
-    dim = dict(enumerate(in_dims))
+    dim = list(in_dims)
     boxes = []
-    for k in sorted(range(len(c.boxes)), key=box_layer.__getitem__):
-        b = c.boxes[k]
+    for k, b in enumerate(c.boxes):
         mm = interp.action(b.symbol)
         if mm.arity != len(b.in_wires):
             raise DimensionMismatchError(f"box {b.symbol} wired with wrong arity")
@@ -597,7 +573,9 @@ def interpret_circuit(interp: Interpretation, c: CircuitTerm, in_dims) -> WireMa
                 raise DimensionMismatchError(
                     f"wire dim {dim[w]} does not match {b.symbol} slot dim {d}"
                 )
-        dim[c.n_in + k] = mm.output_operator_dim
+        dim.append(mm.output_operator_dim)
         boxes.append((c.n_in + k, b.in_wires, mm))
-    superop = _contract(boxes[::-1], c.out_wires, range(c.n_in), dim, grouped=True)
-    return WireMap(in_dims, tuple(dim[w] for w in c.out_wires), superop)
+    out = int(np.prod([dim[w] for w in c.out_wires]))
+    return channels.OperatorMultiMap(
+        in_dims, out, _contract(boxes[::-1], c.out_wires, range(c.n_in), dim)
+    )

@@ -38,8 +38,8 @@ def random_pure(rng, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(rng, d: int, rank: int | None = None) -> np.ndarray:
-    w = ginibre(rng, d, rank or d)
+def random_density(rng, d: int) -> np.ndarray:
+    w = ginibre(rng, d, d)
     rho = w @ linalg.dagger(w)
     return rho / np.trace(rho)
 
@@ -67,11 +67,10 @@ def random_separable_dilation(
     algebra_dims: tuple[int, ...],
     source_dim: int,
     multiplicities: tuple[int, ...] | None = None,
-    isometric: bool = True,
 ) -> channels.MultilinearDilation:
     """Dilation with carrier (d_1 r_1) (x) ... (x) (d_n r_n), slot j acting
-    as a (x) I on factor j, and a random (co-scaled when isometric=False)
-    embedding of the source."""
+    as a (x) I on factor j, and a random isometric embedding of the
+    source."""
     dims = tuple(int(d) for d in algebra_dims)
     mult = tuple(multiplicities) if multiplicities else tuple(1 for _ in dims)
     factors = tuple(d * r for d, r in zip(dims, mult))
@@ -83,7 +82,6 @@ def random_separable_dilation(
         left = int(np.prod(factors[:j])) if j else 1
         right = int(np.prod(factors[j + 1 :])) if j + 1 < len(factors) else 1
         reps.append(channels.factor_representation(d, r, left, right))
-    v = random_isometry(rng, carrier, source_dim)
-    if not isometric:
-        v = v * (0.5 + rng.random())
-    return channels.MultilinearDilation(tuple(reps), v, factors)
+    return channels.MultilinearDilation(
+        tuple(reps), random_isometry(rng, carrier, source_dim), factors
+    )

@@ -198,3 +198,57 @@ def intertwining_residual(u, d_min, d_other) -> float:
         for k in range(rm.algebra_dim)
         for l in range(rm.algebra_dim)
     )
+
+
+def layer_assignment(c) -> list:
+    """Layer of each box of a circuit: one more than the latest layer among
+    the wires it reads, input wires being layer 0."""
+    layer = {w: 0 for w in range(c.n_in)}
+    box_layer = [None] * len(c.boxes)
+    pending = set(range(len(c.boxes)))
+    while pending:
+        progressed = False
+        for k in sorted(pending):
+            b = c.boxes[k]
+            if all(w in layer for w in b.in_wires):
+                lv = 1 + max((layer[w] for w in b.in_wires), default=0)
+                box_layer[k] = lv
+                layer[c.n_in + k] = lv
+                pending.discard(k)
+                progressed = True
+        assert progressed, "circuit wiring is cyclic"
+    return box_layer
+
+
+def layered_circuit_map(interp, c, in_dims):
+    """A circuit's value by the layer-sorted contraction with grouped
+    columns: a one-slot map on the joint input space.  The running tensor
+    has a (column, row) axis pair per output wire, then one per open wire;
+    it starts as the identity, and each box, latest layer first, swaps its
+    wire's pair for its inputs' pairs by one matrix product."""
+    in_dims = tuple(int(d) for d in in_dims)
+    box_layer = layer_assignment(c)
+    dim = dict(enumerate(in_dims))
+    boxes = []
+    for k in sorted(range(len(c.boxes)), key=box_layer.__getitem__):
+        mm = interp.action(c.boxes[k].symbol)
+        dim[c.n_in + k] = mm.output_operator_dim
+        boxes.append((c.n_in + k, c.boxes[k].in_wires, mm))
+    k = len(c.out_wires)
+    pairs = [dim[w] for w in c.out_wires for _ in "cr"]
+    side = int(np.prod(pairs))
+    t = np.eye(side, dtype=complex).reshape(pairs * 2)
+    live = list(c.out_wires)
+    for w, ins, mm in boxes[::-1]:
+        at = 2 * (k + live.index(w))
+        rest = [i for i in range(t.ndim) if i not in (at, at + 1)]
+        shape = [t.shape[i] for i in rest] + [d for d in mm.input_operator_dims for _ in "cr"]
+        flat = t.transpose(rest + [at, at + 1]).reshape(-1, mm.action_matrix.shape[0])
+        t = (flat @ mm.action_matrix).reshape(shape)
+        live.remove(w)
+        live += ins
+    ends = (range(0, 2 * k, 2), [2 * (k + live.index(w)) for w in range(c.n_in)])
+    order = [a + r for axes in ends for r in (0, 1) for a in axes]
+    din = int(np.prod(in_dims))
+    dout = int(np.prod([dim[w] for w in c.out_wires]))
+    return ch.OperatorMultiMap((din,), dout, t.transpose(order).reshape(side, -1))

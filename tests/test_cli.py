@@ -287,17 +287,16 @@ def test_algebra_laws_report_matches_the_inline_loop(tmp_path):
         "--tol", "trials=6",
     )
     interp = io.decode_interpretation(qubit_interp_obj(), path)
-    alg = monad.algebra_from_interpretation(interp)
     symbols = [interp.operad[name] for name in sorted(interp.assign)]
     rng = np.random.default_rng(4)
     unit_worst = mult_worst = 0.0
     for _ in range(6):
         v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        unit_val = monad.algebra_eval(alg, monad.unit(v))
+        unit_val = monad.algebra_eval(interp, monad.unit(v))
         unit_worst = max(unit_worst, float(np.max(np.abs(unit_val - v))))
         x = monad.random_element(rng, symbols, dim=2, depth=2, term_depth=1)
-        lhs = monad.algebra_eval(alg, monad.mu(x))
-        rhs = monad.algebra_eval(alg, monad.t_map(lambda el: monad.algebra_eval(alg, el), x))
+        lhs = monad.algebra_eval(interp, monad.mu(x))
+        rhs = monad.algebra_eval(interp, monad.t_map(lambda el: monad.algebra_eval(interp, el), x))
         mult_worst = max(mult_worst, float(linalg.frobenius(lhs - rhs)))
     passed = bool(unit_worst == 0.0 and mult_worst <= 1e-10)
     want = {
@@ -386,6 +385,17 @@ def test_opequiv_separates_channels(tmp_path):
     assert code == 1
     assert rep["result"]["witness"] is not None
     assert "op" in rep["result"]["witness"]["term"] or "slot" in rep["result"]["witness"]["term"]
+
+
+def test_opequiv_refuses_a_channel_off_the_carrier(tmp_path):
+    interp_path = write(tmp_path, "interp.json", qubit_interp_obj())
+    qutrit = write(tmp_path, "id3.json", io.encode_channel(ch.identity_channel(3)))
+    code, rep = invoke(
+        tmp_path, "--command", "opequiv", "--in", qutrit, "--in", qutrit,
+        "--in", interp_path, "--seed", "3",
+    )
+    assert code == 2
+    assert rep["error"] == "channel input dim 3 does not match the carrier dim 2"
 
 
 def test_circuit_realize(tmp_path):
@@ -514,11 +524,19 @@ def test_parse_error_names_position(tmp_path):
 
 
 def test_missing_file_is_an_input_error(tmp_path):
-    code, rep = invoke(
-        tmp_path, "--command", "check-cp", "--in", str(tmp_path / "nope.json")
-    )
+    missing = str(tmp_path / "nope.json")
+    code, rep = invoke(tmp_path, "--command", "check-cp", "--in", missing)
     assert code == 2
-    assert "not found" in rep["error"]
+    assert rep["error"] == f"{missing}: file not found"
+
+
+def test_unreadable_input_is_an_input_error(tmp_path):
+    # a directory where an artifact should be: exit 2 and a report naming it
+    folder = tmp_path / "artifacts"
+    folder.mkdir()
+    code, rep = invoke(tmp_path, "--command", "check-cp", "--in", str(folder))
+    assert code == 2
+    assert rep["error"].startswith(f"{folder}: cannot read (")
 
 
 def test_schema_violation_names_field(tmp_path):

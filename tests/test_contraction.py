@@ -1,6 +1,7 @@
 """The wire-network contraction behind interpret, interpret_circuit and
 _compose_multimaps, checked against the kron-and-gather constructions it
-replaced, which live on here as oracles."""
+replaced, which live on here as oracles, and against the layer-sorted
+circuit contraction with grouped columns (oracles.layered_circuit_map)."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from operaq import channels as ch
 from operaq import ideals, linalg, operad as op
 from operaq import sampling
 from operaq.errors import DimensionMismatchError
-from oracles import choi_to_superop, factor_permutation_index, mingle_index, superop_kron
+from oracles import (
+    choi_to_superop,
+    factor_permutation_index,
+    layer_assignment,
+    layered_circuit_map,
+    mingle_index,
+    superop_kron,
+)
 
 # ---------------------------------------------------------------------------
 # oracles: the constructions before the contraction
@@ -59,8 +67,9 @@ def superop_permutation_index(dims, perm):
 
 
 def old_interpret_circuit(interp, c, in_dims):
+    """The circuit's value as a one-slot map on the joint input space."""
     in_dims = tuple(int(d) for d in in_dims)
-    box_layer = op._layer_assignment(c)
+    box_layer = layer_assignment(c)
     dim = {w: in_dims[w] for w in range(c.n_in)}
     live = list(range(c.n_in))
     total = np.eye(int(np.prod([d * d for d in in_dims])), dtype=complex)
@@ -98,7 +107,8 @@ def old_interpret_circuit(interp, c, in_dims):
         live = [c.n_in + k for k in with_inputs] + passthrough + [c.n_in + k for k in nullary]
     perm = tuple(live.index(w) for w in c.out_wires)
     final = superop_permutation_index(tuple(dim[w] for w in live), perm)
-    return op.WireMap(in_dims, tuple(dim[w] for w in c.out_wires), total[final])
+    dout = int(np.prod([dim[w] for w in c.out_wires]))
+    return ch.OperatorMultiMap((int(np.prod(in_dims)),), dout, total[final])
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +155,13 @@ def draw_term(data, max_depth=3):
 
 def draw_circuit(data):
     """A random circuit: 0-3 input wires, 0-4 boxes of arity 0-2 on
-    whatever wires are still open, the open wires permuted onto the
-    outputs, and the boxes listed in a shuffled order."""
+    whatever wires are still open, listed in firing order, and the open
+    wires permuted onto the outputs."""
     rng = np.random.default_rng(data.draw(SEEDS))
     n_in = data.draw(st.integers(0, 3))
     dims = [data.draw(DIMS) for _ in range(n_in)]
     open_wires = list(range(n_in))
-    wired = []  # (symbol, in_wires) in firing order; box j makes wire n_in + j
+    boxes = []  # box j makes wire n_in + j
     assign, symbols = {}, []
     for j in range(data.draw(st.integers(0, 4))):
         k = data.draw(st.integers(0, min(2, len(open_wires))))
@@ -163,16 +173,9 @@ def draw_circuit(data):
         sym = op.OperadSymbol(name, k, (tuple(dims[w] for w in ins), out))
         symbols.append(sym)
         assign[name] = random_multimap(rng, sym.signature[0], out)
-        wired.append((name, tuple(ins)))
+        boxes.append(op.CircuitBox(name, tuple(ins)))
     assume(np.prod([d * d for d in dims]) <= 2048)
-    outs = data.draw(st.permutations(open_wires))
-    order = data.draw(st.permutations(range(len(wired))))
-    rename = {w: w for w in range(n_in)}
-    rename.update({n_in + j: n_in + order.index(j) for j in range(len(wired))})
-    boxes = tuple(
-        op.CircuitBox(wired[j][0], tuple(rename[w] for w in wired[j][1])) for j in order
-    )
-    circuit = op.CircuitTerm(n_in, boxes, tuple(rename[w] for w in outs))
+    circuit = op.CircuitTerm(n_in, tuple(boxes), tuple(data.draw(st.permutations(open_wires))))
     interp = op.Interpretation(op.OperadSpec(tuple(symbols)), assign)
     return interp, circuit, tuple(dims[:n_in])
 
@@ -199,9 +202,27 @@ def test_interpret_circuit_matches_layer_oracle(data):
     interp, circuit, in_dims = draw_circuit(data)
     got = op.interpret_circuit(interp, circuit, in_dims)
     want = old_interpret_circuit(interp, circuit, in_dims)
-    assert (got.dims_in, got.dims_out) == (want.dims_in, want.dims_out)
-    assert got.superop.shape == want.superop.shape
-    assert np.allclose(got.superop, want.superop, rtol=0, atol=1e-10)
+    assert got.input_operator_dims == in_dims
+    assert got.output_operator_dim == want.output_operator_dim
+    assert np.allclose(ch.choi_of(got).choi, ch.choi_of(want).choi, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_circuit_choi_matches_the_layer_sorted_contraction(data):
+    # the same matrix products as the layer-sorted contraction; where the
+    # sort keeps the firing order they run in the same order and agree
+    # bitwise, and where it moves an independent box they differ in
+    # round-off only
+    interp, circuit, in_dims = draw_circuit(data)
+    got = ch.choi_of(op.interpret_circuit(interp, circuit, in_dims))
+    want = ch.choi_of(layered_circuit_map(interp, circuit, in_dims))
+    assert (got.in_dim, got.out_dim) == (want.in_dim, want.out_dim)
+    layers = layer_assignment(circuit)
+    if layers == sorted(layers):
+        assert np.array_equal(got.choi, want.choi)
+    else:
+        assert np.allclose(got.choi, want.choi, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -259,10 +280,10 @@ def test_empty_and_zero_input_circuits():
     prep = op.OperadSymbol("prep", 0, ((), 2))
     interp = op.Interpretation(op.OperadSpec((prep,)), {"prep": random_multimap(rng, (), 2)})
     empty = op.interpret_circuit(interp, op.identity_circuit(0), ())
-    assert empty.superop.shape == (1, 1) and empty.superop[0, 0] == 1
+    assert empty.action_matrix.shape == (1, 1) and empty.action_matrix[0, 0] == 1
     made = op.interpret_circuit(interp, op.generator_circuit("prep", 0), ())
-    assert made.dims_out == (2,)
-    assert np.array_equal(made.superop, interp.action("prep").action_matrix)
+    assert (made.input_operator_dims, made.output_operator_dim) == ((), 2)
+    assert np.array_equal(made.action_matrix, interp.action("prep").action_matrix)
 
 
 def test_three_wire_unary_layers_match_per_wire_chains():
@@ -275,11 +296,12 @@ def test_three_wire_unary_layers_match_per_wire_chains():
     for name in ("u0", "u1", "u2"):
         layer = op.circuit_parallel(layer, op.generator_circuit(name, 1))
     circuit = op.circuit_compose(layer, op.circuit_compose(layer, layer))
-    wm = op.interpret_circuit(interp, circuit, (d,) * 3)
+    got = ch.choi_of(op.interpret_circuit(interp, circuit, (d,) * 3)).choi
     chains = [np.linalg.matrix_power(interp.action(f"u{i}").action_matrix, 3) for i in range(3)]
     want = superop_kron(chains, (d,) * 3, (d,) * 3)
-    assert np.allclose(wm.superop, want, rtol=0, atol=1e-10)
-    assert np.allclose(wm.superop, old_interpret_circuit(interp, circuit, (d,) * 3).superop,
+    assert np.allclose(got, ch.choi_of(ch.OperatorMultiMap((d**3,), d**3, want)).choi,
+                       rtol=0, atol=1e-10)
+    assert np.allclose(got, ch.choi_of(old_interpret_circuit(interp, circuit, (d,) * 3)).choi,
                        rtol=0, atol=1e-10)
 
 
@@ -319,7 +341,7 @@ def test_contraction_builds_no_kron_or_gather(monkeypatch):
     got_circuit = op.interpret_circuit(interp, circuit, (2,))
     report = ideals.closure_check(ideals.IdealSpec("noniso", "non-isometric"), pool, 60, 2)
     assert np.allclose(got_term.action_matrix, want[0].action_matrix, rtol=0, atol=1e-10)
-    assert np.allclose(got_circuit.superop, want[1].superop, rtol=0, atol=1e-10)
+    assert np.allclose(ch.choi_of(got_circuit).choi, ch.choi_of(want[1]).choi, rtol=0, atol=1e-10)
     assert report == want[2] and report["checks"] > 0
 
 
@@ -328,6 +350,17 @@ def test_circuit_dimension_and_cycle_errors_survive():
     interp = unary_interp(rng, 2)
     with pytest.raises(DimensionMismatchError, match="slot dim"):
         op.interpret_circuit(interp, op.generator_circuit("u0", 1), (3,))
-    cyclic = op.CircuitTerm(0, (op.CircuitBox("u0", (1,)), op.CircuitBox("u1", (0,))), ())
-    with pytest.raises(DimensionMismatchError, match="cyclic"):
-        op.interpret_circuit(interp, cyclic, ())
+    with pytest.raises(DimensionMismatchError, match="firing order"):
+        op.CircuitTerm(0, (op.CircuitBox("u0", (1,)), op.CircuitBox("u1", (0,))), ())
+
+
+def test_out_of_order_or_cyclic_boxes_are_refused_when_built():
+    # two boxes reading each other's wires are refused by the test above
+    box = op.CircuitBox
+    backwards = (box("u1", (2,)), box("u0", (0,)))  # box 0 reads wire 2, made by box 1
+    self_loop = (box("u0", (1,)),)  # box 0 reads wire 1, its own
+    for boxes, outs in [(backwards, (1,)), (self_loop, (0,))]:
+        with pytest.raises(DimensionMismatchError, match="firing order"):
+            op.CircuitTerm(1, boxes, outs)
+    # the backwards network listed in firing order is accepted
+    assert op.CircuitTerm(1, (box("u0", (0,)), box("u1", (1,))), (2,)).n_out == 1

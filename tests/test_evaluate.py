@@ -59,37 +59,34 @@ def test_monad_evaluation_builds_no_multimap(monkeypatch):
     rng = np.random.default_rng(31)
     interp = cp_interpretation(rng)
     phi = sampling.random_channel(rng, 2, 3)
-    plain = monad.algebra_from_interpretation(interp)
-    rep = monad.representation_of(phi, interp)
     x = monad.mu(monad.random_element(rng, interp.operad.symbols, dim=2, depth=2, term_depth=2))
-    want = (monad.algebra_eval(plain, x), monad.algebra_eval(rep, x))
+    want = monad.algebra_eval(interp, x)
 
     def banned(*args, **kwargs):
         raise AssertionError("a multimap was built for a decorated term")
 
     monkeypatch.setattr(op, "interpret", banned)
     monkeypatch.setattr(op, "_contract", banned)
-    assert np.array_equal(monad.algebra_eval(plain, x), want[0])
-    assert np.array_equal(monad.algebra_eval(rep, x), want[1])
+    assert np.array_equal(monad.algebra_eval(interp, x), want)
     assert monad.algebra_law_suite(interp, trials=4, seed=1)["passed"]
-    assert monad.homomorphism_check(lambda a: a, plain, plain, trials=6, seed=2)["passed"]
+    assert monad.homomorphism_check(lambda a: a, interp, interp, trials=6, seed=2)["passed"]
     assert monad.operational_equivalence(phi, phi, interp, term_trials=4, seed=3)["equivalent"]
     assert monad.monoidal_compat_check(phi, phi, interp, trials=4, seed=4)["passed"]
 
 
 def test_wrong_size_decoration_is_a_dimension_error():
     rng = np.random.default_rng(32)
-    alg = monad.algebra_from_interpretation(cp_interpretation(rng))
-    g = alg.interpretation.operad["g"]
+    interp = cp_interpretation(rng)
+    g = interp.operad["g"]
     for d in (1, 3):
         wrong = np.eye(d, dtype=complex)
         # a bare-leaf root hands back its decoration unless the size is checked
         with pytest.raises(DimensionMismatchError):
-            monad.algebra_eval(alg, monad.unit(wrong))
+            monad.algebra_eval(interp, monad.unit(wrong))
         with pytest.raises(DimensionMismatchError):
-            monad.algebra_eval(alg, monad.MonadElement(((1.0, op.Apply(g, (op.Leaf(0),)), (wrong,)),)))
+            monad.algebra_eval(interp, monad.MonadElement(((1.0, op.Apply(g, (op.Leaf(0),)), (wrong,)),)))
         with pytest.raises(DimensionMismatchError):
-            monad.homomorphism_check(lambda a: np.eye(d), alg, alg, trials=2, seed=0)
+            monad.homomorphism_check(lambda a: np.eye(d), interp, interp, trials=2, seed=0)
 
 
 def test_root_off_the_carrier_is_a_dimension_error():
@@ -99,6 +96,5 @@ def test_root_off_the_carrier_is_a_dimension_error():
     interp = op.Interpretation(
         spec, {"id": ch.identity_multimap(2), "prep": random_multimap(rng, (), 3)}
     )
-    alg = monad.algebra_from_interpretation(interp)
     with pytest.raises(DimensionMismatchError, match="expected side 2"):
-        monad.algebra_eval(alg, monad.MonadElement(((1.0, op.Apply(prep, ()), ()),)))
+        monad.algebra_eval(interp, monad.MonadElement(((1.0, op.Apply(prep, ()), ()),)))

@@ -126,13 +126,14 @@ def test_zero_map_has_kraus_rank_zero_and_is_a_member():
 
 
 # ---------------------------------------------------------------------------
-# oracles: grouping through the contraction, membership from one full eigh
+# oracles: grouping by a gather of the contraction's columns, membership from one full eigh
 
 
 def oracle_grouped_channel(mm):
     din = int(np.prod(mm.input_operator_dims)) if mm.input_operator_dims else 1
     slots = range(1, mm.arity + 1)
-    s = operad._contract([(0, slots, mm)], [0], slots, [mm.output_operator_dim], grouped=True)
+    s = operad._contract([(0, slots, mm)], [0], slots, [mm.output_operator_dim])
+    s = s[:, oracles.mingle_index(mm.input_operator_dims)]
     return ch.QuantumChannel(
         din, mm.output_operator_dim, oracles.superop_to_choi(s, din, mm.output_operator_dim)
     )
@@ -750,8 +751,13 @@ def test_broadcast_witness_never_calls_lstsq(monkeypatch):
 def test_cloning_mixture_gap_scales_with_weights():
     rho_1 = linalg.matrix_unit(3, 0, 0)
     rho_2 = linalg.matrix_unit(3, 2, 2)
-    gap, expr = ideals.cloning_mixture_gap(rho_1, rho_2, alpha=0.25)
-    assert linalg.frobenius(gap - 0.25 * 0.75 * expr) < 1e-14
+    gap, expr = ideals.cloning_mixture_gap(rho_1, rho_2)
+    assert linalg.frobenius(gap - 0.5 * 0.5 * expr) < 1e-14
+    # an unequal mixture, built inline, has the same cross terms scaled by alpha * beta
+    alpha, beta = 0.25, 0.75
+    mixed = alpha * rho_1 + beta * rho_2
+    skewed = np.kron(mixed, mixed) - alpha * np.kron(rho_1, rho_1) - beta * np.kron(rho_2, rho_2)
+    assert linalg.frobenius(skewed - alpha * beta * expr) < 1e-14
 
 
 def test_clone_pattern_rejects_every_interpreted_term():

@@ -170,7 +170,7 @@ def test_library_paths_build_no_dense_permutation():
     circ = operad.CircuitTerm(
         2, (operad.CircuitBox("g", (1,)), operad.CircuitBox("f", (2, 0))), (3,)
     )
-    assert operad.interpret_circuit(interp, circ, (2, 2)).superop.shape == (4, 16)
+    assert operad.interpret_circuit(interp, circ, (2, 2)).action_matrix.shape == (4, 16)
     assert ch.choi_of(pair).in_dim == 4
     assert ideals.sigma_multimap(pair, (1, 0)).input_operator_dims == (2, 2)
     a, b = sampling.random_channel(rng, 2, 3), sampling.random_channel(rng, 3, 2)

@@ -127,21 +127,21 @@ def test_monad_law_suite_detects_broken_mu(monkeypatch):
 
 def test_algebra_unit_law_exact():
     rng = np.random.default_rng(6)
-    alg = monad.algebra_from_interpretation(cp_interpretation(rng))
+    interp = cp_interpretation(rng)
     for _ in range(5):
         a = rand_mat(rng)
-        got = monad.algebra_eval(alg, monad.unit(a))
+        got = monad.algebra_eval(interp, monad.unit(a))
         assert np.array_equal(got, a.astype(complex))
 
 
 def test_algebra_multiplication_law():
     rng = np.random.default_rng(7)
-    alg = monad.algebra_from_interpretation(cp_interpretation(rng))
+    interp = cp_interpretation(rng)
     for _ in range(10):
         nested = monad.random_element(rng, SYMBOLS, depth=2, term_depth=1)
-        lhs = monad.algebra_eval(alg, monad.mu(nested))
+        lhs = monad.algebra_eval(interp, monad.mu(nested))
         rhs = monad.algebra_eval(
-            alg, monad.t_map(lambda e: monad.algebra_eval(alg, e), nested)
+            interp, monad.t_map(lambda e: monad.algebra_eval(interp, e), nested)
         )
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
@@ -149,18 +149,17 @@ def test_algebra_multiplication_law():
 def test_algebra_eval_depolarizing_point():
     spec = op.OperadSpec((op.OperadSymbol("s", 1),))
     interp = op.Interpretation(spec, {"s": ch.depolarizing_channel(2, 1.0)}, carrier_dim=2)
-    alg = monad.algebra_from_interpretation(interp)
     e11 = linalg.matrix_unit(2, 0, 0)
     elem = monad.MonadElement(((1.0, op.Apply(spec["s"], (op.Leaf(0),)), (e11,)),))
-    assert np.allclose(monad.algebra_eval(alg, elem), np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(monad.algebra_eval(interp, elem), np.eye(2) / 2, atol=1e-12)
 
 
 def test_algebra_eval_rejects_nested():
     rng = np.random.default_rng(8)
-    alg = monad.algebra_from_interpretation(cp_interpretation(rng))
+    interp = cp_interpretation(rng)
     nested = monad.t_map(monad.unit, monad.unit(rand_mat(rng)))
     with pytest.raises(DimensionMismatchError):
-        monad.algebra_eval(alg, nested)
+        monad.algebra_eval(interp, nested)
 
 
 def test_trial_term_draws_like_the_inline_draw():
@@ -178,8 +177,8 @@ def test_trial_term_draws_like_the_inline_draw():
 
 def test_homomorphism_identity_passes():
     rng = np.random.default_rng(11)
-    alg = monad.algebra_from_interpretation(cp_interpretation(rng))
-    report = monad.homomorphism_check(lambda a: a, alg, alg, trials=20, seed=1)
+    interp = cp_interpretation(rng)
+    report = monad.homomorphism_check(lambda a: a, interp, interp, trials=20, seed=1)
     assert report["passed"]
     assert report["witness"] is None
 
@@ -190,10 +189,8 @@ def test_homomorphism_commuting_conjugation():
     d2 = np.diag(np.exp(1j * rng.normal(size=2)))
     conj1 = ch.multimap_from_function(lambda x: d1 @ x @ d1.conj().T, (2,), 2)
     spec = op.OperadSpec((op.OperadSymbol("v", 1), op.OperadSymbol("id", 1)))
-    alg = monad.algebra_from_interpretation(
-        op.Interpretation(spec, {"v": conj1, "id": ch.identity_multimap(2)}, carrier_dim=2)
-    )
-    report = monad.homomorphism_check(lambda x: d2 @ x @ d2.conj().T, alg, alg, trials=20, seed=2)
+    interp = op.Interpretation(spec, {"v": conj1, "id": ch.identity_multimap(2)}, carrier_dim=2)
+    report = monad.homomorphism_check(lambda x: d2 @ x @ d2.conj().T, interp, interp, trials=20, seed=2)
     assert report["passed"]
 
 
@@ -204,30 +201,11 @@ def test_homomorphism_transpose_fails_with_witness():
     u = sampling.random_unitary(rng, 2)
     gate = ch.multimap_from_function(lambda x: u @ x @ u.conj().T, (2,), 2)
     spec = op.OperadSpec((op.OperadSymbol("w", 1), op.OperadSymbol("id", 1)))
-    alg = monad.algebra_from_interpretation(
-        op.Interpretation(spec, {"w": gate, "id": ch.identity_multimap(2)}, carrier_dim=2)
-    )
-    report = monad.homomorphism_check(lambda x: x.T, alg, alg, trials=20, seed=3)
+    interp = op.Interpretation(spec, {"w": gate, "id": ch.identity_multimap(2)}, carrier_dim=2)
+    report = monad.homomorphism_check(lambda x: x.T, interp, interp, trials=20, seed=3)
     assert not report["passed"]
     assert report["witness"] is not None
     assert report["witness"]["residual"] > 1e-10
-
-
-def test_homomorphism_out_map_pair():
-    rng = np.random.default_rng(14)
-    interp = cp_interpretation(rng)
-    phi = sampling.random_channel(rng, 2, 3)
-    plain = monad.algebra_from_interpretation(interp)
-    rep = monad.representation_of(phi, interp)
-    report = monad.homomorphism_check(
-        lambda a: a,
-        plain,
-        rep,
-        trials=20,
-        seed=4,
-        out_map=lambda m: ch.channel_apply(phi, m),
-    )
-    assert report["passed"]
 
 
 @pytest.mark.parametrize("trials", [1, 2, 3])
@@ -235,22 +213,15 @@ def test_homomorphism_refuses_values_of_different_shapes(trials):
     # a nullary carrier-2 symbol and F = trace: the square would compare a
     # 1 x 1 value with a 2 x 2 one, which must not broadcast into a residual
     prep = op.OperadSymbol("prep", 0)
-    alg = monad.algebra_from_interpretation(op.Interpretation(
+    interp = op.Interpretation(
         op.OperadSpec((prep,)),
         {"prep": ch.OperatorMultiMap((), 2, linalg.vec(np.eye(2) / 2).reshape(-1, 1))},
         carrier_dim=2,
-    ))
+    )
     with pytest.raises(DimensionMismatchError, match=r"\(1, 1\) and \(2, 2\)"):
         monad.homomorphism_check(
-            lambda x: np.trace(x).reshape(1, 1), alg, alg, trials=trials, seed=0
+            lambda x: np.trace(x).reshape(1, 1), interp, interp, trials=trials, seed=0
         )
-
-
-def test_representation_dim_check():
-    rng = np.random.default_rng(15)
-    interp = cp_interpretation(rng)
-    with pytest.raises(DimensionMismatchError):
-        monad.representation_of(sampling.random_channel(rng, 3, 3), interp)
 
 
 def test_operational_equivalence_same_channel():

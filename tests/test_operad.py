@@ -166,10 +166,10 @@ def unary_interpretation(rng):
 
 
 def same_value(interp, c_1, c_2, in_dims):
-    w_1 = op.interpret_circuit(interp, c_1, in_dims)
-    w_2 = op.interpret_circuit(interp, c_2, in_dims)
-    assert w_1.dims_out == w_2.dims_out
-    return np.allclose(w_1.superop, w_2.superop, rtol=0, atol=1e-12)
+    m_1 = op.interpret_circuit(interp, c_1, in_dims)
+    m_2 = op.interpret_circuit(interp, c_2, in_dims)
+    assert m_1.output_operator_dim == m_2.output_operator_dim
+    return np.allclose(m_1.action_matrix, m_2.action_matrix, rtol=0, atol=1e-12)
 
 
 def test_circuit_interchange_law():
@@ -211,9 +211,9 @@ def test_circuit_consumes_each_wire_once():
 def test_interpret_circuit_single_box():
     rng = np.random.default_rng(8)
     interp = qubit_interpretation(rng)
-    wm = op.interpret_circuit(interp, op.generator_circuit("f", 2), (2, 2))
+    mm = op.interpret_circuit(interp, op.generator_circuit("f", 2), (2, 2))
     xs = [sampling.ginibre(rng, 2, 2) for _ in range(2)]
-    got = linalg.unvec(wm.superop @ linalg.vec(linalg.kron(*xs)), 2)
+    got = ch.apply_ops(mm, xs)
     expected = ch.apply_ops(interp.action("f"), xs)
     assert np.allclose(got, expected, atol=1e-11)
 
@@ -225,11 +225,11 @@ def test_interpret_circuit_matches_parallel_composition():
         op.generator_circuit("f", 2),
         op.circuit_parallel(op.generator_circuit("g", 1), op.identity_circuit(1)),
     )
-    wm = op.interpret_circuit(interp, circuit, (2, 2))
+    mm = op.interpret_circuit(interp, circuit, (2, 2))
     xs = [sampling.ginibre(rng, 2, 2) for _ in range(2)]
     inner = ch.apply_ops(interp.action("g"), [xs[0]])
     expected = ch.apply_ops(interp.action("f"), [inner, xs[1]])
-    got = linalg.unvec(wm.superop @ linalg.vec(linalg.kron(*xs)), 2)
+    got = ch.apply_ops(mm, xs)
     assert np.allclose(got, expected, atol=1e-11)
 
 
@@ -248,12 +248,11 @@ def test_interpret_circuit_wire_swap():
     rng = np.random.default_rng(11)
     interp = qubit_interpretation(rng)
     swap = op.CircuitTerm(2, (), (1, 0))
-    wm = op.interpret_circuit(interp, swap, (2, 3))
+    mm = op.interpret_circuit(interp, swap, (2, 3))
     x = sampling.ginibre(rng, 2, 2)
     y = sampling.ginibre(rng, 3, 3)
-    got = linalg.unvec(wm.superop @ linalg.vec(linalg.kron(x, y)), 6)
-    assert np.allclose(got, linalg.kron(y, x), atol=1e-12)
-    assert wm.dims_out == (3, 2)
+    assert (mm.input_operator_dims, mm.output_operator_dim) == ((2, 3), 6)
+    assert np.allclose(ch.apply_ops(mm, [x, y]), linalg.kron(y, x), atol=1e-12)
 
 
 def test_interpret_circuit_nullary_prep():
@@ -263,9 +262,9 @@ def test_interpret_circuit_nullary_prep():
     circuit = op.circuit_compose(
         op.generator_circuit("f", 2), op.circuit_parallel(op.identity_circuit(1), prep)
     )
-    wm = op.interpret_circuit(interp, circuit, (2,))
+    mm = op.interpret_circuit(interp, circuit, (2,))
     rho = sampling.random_density(rng, 2)
     prepared = ch.apply_ops(interp.action("prep"), [])
     expected = ch.apply_ops(interp.action("f"), [rho, prepared])
-    got = linalg.unvec(wm.superop @ linalg.vec(rho), 2)
+    got = ch.apply_ops(mm, [rho])
     assert np.allclose(got, expected, atol=1e-11)

@@ -3,6 +3,9 @@
 Every public top-level function or class of src/operaq must be referenced
 outside its own definition somewhere in src/operaq or demos/, so a
 function that only tests reach is deleted rather than kept as surface.
+Likewise every defaulted parameter of a public function must be passed by
+some call in src/operaq or demos/, so a knob that only tests turn is made
+a constant rather than kept as surface.
 """
 
 import ast
@@ -21,6 +24,12 @@ TEST_VOCABULARY = {
     "encode_interpretation": "tests write the interpretation inputs of CLI commands with it",
     "encode_ideal_spec": "tests write the ideal inputs of CLI commands with it",
     "encode_feedback_problem": "tests write the feedback inputs of CLI commands with it",
+}
+
+
+# defaulted parameters kept although no call in src/operaq or demos/ sets them
+UNSET_DEFAULTS = {
+    "main.argv": "the console script calls main() and the benchmark calls main(argv)",
 }
 
 
@@ -48,3 +57,40 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 unused.append(f"{path.stem}.{node.name}")
     assert unused == []
     assert set(TEST_VOCABULARY) <= public
+
+
+def _defaulted(fn: ast.FunctionDef) -> list:
+    """(position or None, name) of each parameter with a default; keyword-only
+    parameters have no position."""
+    params = fn.args.posonlyargs + fn.args.args
+    first = len(params) - len(fn.args.defaults)
+    out = [(i, p.arg) for i, p in enumerate(params) if i >= first]
+    out += [(None, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + DEMOS]
+    positional, keywords = Counter(), set()  # most positional args per callee; (callee, keyword)
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            positional[name] = max(positional[name], 10**6 if starred else len(call.args))
+            keywords |= {(name, kw.arg) for kw in call.keywords}
+    unset = []
+    for path, tree in zip(PACKAGE, trees):
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            for pos, param in _defaulted(fn):
+                if (fn.name, None) in keywords or (fn.name, param) in keywords:
+                    continue
+                if pos is not None and positional[fn.name] > pos:
+                    continue
+                if f"{fn.name}.{param}" not in UNSET_DEFAULTS:
+                    unset.append(f"{path.stem}.{fn.name}({param})")
+    assert unset == []
