@@ -17,6 +17,7 @@ callable; it sweeps matrix-unit tuples.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,27 +99,6 @@ def transpose_multimap(d: int) -> OperatorMultiMap:
     # vec(X^T) swaps the (column, row) axes of vec(X)
     swap = np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2)
     return OperatorMultiMap((d,), d, swap.reshape(d * d, d * d))
-
-
-def partial_evaluation(mm: OperatorMultiMap, slot: int, states) -> np.ndarray:
-    """Fix every slot except `slot` at the given states; returns the
-    resulting superoperator, shape m^2 x d_slot^2."""
-    states = list(states)
-    if len(states) != mm.arity - 1:
-        raise DimensionMismatchError("need one state per remaining slot")
-    dims = mm.input_operator_dims
-    tensor = mm.action_matrix.reshape((mm.output_operator_dim**2,) + tuple(d * d for d in dims))
-    others = [i for i in range(mm.arity) if i != slot]
-    for axis_owner, state in zip(others, states):
-        d = dims[axis_owner]
-        if linalg.as_matrix(state).shape != (d, d):
-            raise DimensionMismatchError("state shape does not match its slot")
-    # contract from the highest axis down so earlier axis numbers stay valid
-    for axis_owner, state in sorted(zip(others, states), key=lambda p: -p[0]):
-        tensor = np.tensordot(tensor, linalg.vec(state), axes=([1 + axis_owner], [0]))
-        # tensordot drops the contracted axis; owners above it shift down,
-        # but we consume in descending order so indices below are untouched
-    return tensor.reshape(mm.output_operator_dim**2, dims[slot] ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +187,14 @@ def channel_apply(ch: QuantumChannel, rho) -> np.ndarray:
     return linalg.as_matrix(np.einsum("ij,iajb->ab", rho, ch.choi.reshape(d, m, d, m)))
 
 
-def _choi_eigenvalues(ch: QuantumChannel) -> np.ndarray:
-    """Ascending spectrum of the Choi matrix's Hermitian part, no vectors."""
-    return npl.eigvalsh((ch.choi + linalg.dagger(ch.choi)) / 2)
+def _choi_eigenvalues(choi) -> np.ndarray:
+    """Ascending spectrum of the Hermitian part of a Choi matrix, or of each
+    matrix of a stack, no vectors."""
+    return npl.eigvalsh((choi + np.swapaxes(choi, -1, -2).conj()) / 2)
 
 
 def choi_min_eigenvalue(ch: QuantumChannel) -> float:
-    return float(_choi_eigenvalues(ch)[0])
+    return float(_choi_eigenvalues(ch.choi)[0])
 
 
 def is_cp(ch: QuantumChannel) -> bool:
@@ -230,50 +211,58 @@ def is_tp(ch: QuantumChannel) -> bool:
     return tp_defect(ch) <= 1e-10
 
 
-def _diagonal_state_pool(d: int):
-    yield "maximally-mixed", np.eye(d, dtype=complex) / d
-    for k in range(d):
-        yield f"projector-{k}", linalg.matrix_unit(d, k, k)
+def _ginibre_state(rng, d: int) -> np.ndarray:
+    """vec of W^dag W / tr(W^dag W) for a complex Ginibre W."""
+    w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    state = linalg.dagger(w) @ w
+    return linalg.vec(state / np.trace(state))
 
 
 def mcp_check(mm: OperatorMultiMap, tol: float = 1e-10) -> dict:
     """Slotwise complete-positivity scan: freeze the other slots at
     deterministic extreme states and at five Ginibre-random states drawn
-    from seed 0, then certify each partial evaluation through its Choi
-    spectrum.
+    from seed 0, and certify each slot map X -> Phi(.., X, ..) through its
+    Choi spectrum.
 
-    Deterministic tuples catch slot-wise sign flips that interior random
-    states can average away.
+    Deterministic tuples, every tuple of the maximally mixed state and the
+    basis projectors with the last slot varying fastest, catch slot-wise
+    sign flips that interior random states can average away.  A slot has
+    prod_j (d_j + 1) + 5 cases over the other slots j (a one-slot map one);
+    its maps are the action tensor contracted with the stacked states, and
+    one stacked eigvalsh reads their Choi minima.
     """
     rng = np.random.default_rng(0)
-    dims = mm.input_operator_dims
-    violations = []
-    cases = 0
-    for slot in range(mm.arity):
-        others = [i for i in range(mm.arity) if i != slot]
-        pools = [list(_diagonal_state_pool(dims[i])) for i in others]
-        tuples = [[]] if not others else None
-        if tuples is None:
-            tuples = []
-            for combo in np.ndindex(*[len(p) for p in pools]):
-                tuples.append([pools[i][c] for i, c in enumerate(combo)])
-            for t in range(5):
-                drawn = []
-                for i in others:
-                    d = dims[i]
-                    w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                    state = linalg.dagger(w) @ w
-                    drawn.append((f"ginibre-{t}", state / np.trace(state)))
-                tuples.append(drawn)
-        for labelled in tuples:
-            s_mat = partial_evaluation(mm, slot, [s for _, s in labelled])
-            sub = OperatorMultiMap((dims[slot],), mm.output_operator_dim, s_mat)
-            low = choi_min_eigenvalue(choi_of(sub))
-            cases += 1
-            if low < -tol:
-                violations.append(
-                    {"slot": slot, "states": [name for name, _ in labelled], "min_eigenvalue": low}
-                )
+    dims, m, n = mm.input_operator_dims, mm.output_operator_dim, mm.arity
+    tensor = mm.action_matrix.reshape((m * m,) + tuple(d * d for d in dims))
+    violations, cases = [], 0
+    for slot, d in enumerate(dims):
+        others = [i for i in range(n) if i != slot]
+        # from the last other slot down, each tensordot appends its tuple
+        # axis; vec(E_kk) in M_e is the unit vector at k*(e + 1)
+        fixed = tensor
+        for i in reversed(others):
+            e = dims[i]
+            pool = np.vstack([np.eye(e).reshape(1, -1) / e, np.eye(e * e)[:: e + 1]])
+            fixed = np.tensordot(fixed, pool, axes=([1 + i], [1]))
+        maps = [fixed.transpose(list(range(fixed.ndim - 1, 1, -1)) + [0, 1]).reshape(-1, m * m, d * d)]
+        pool_names = (["maximally-mixed"] + [f"projector-{k}" for k in range(dims[i])] for i in others)
+        labels = list(itertools.product(*pool_names))
+        if others:
+            drawn = [[_ginibre_state(rng, dims[i]) for i in others] for _ in range(5)]
+            operands = [tensor, list(range(n + 1))]
+            for i, states in zip(others, zip(*drawn)):
+                operands += [np.array(states), [n + 1, 1 + i]]
+            maps.append(np.einsum(*operands, [n + 1, 0, 1 + slot], optimize=True))
+            labels += [(f"ginibre-{t}",) * len(others) for t in range(5)]
+        # choi_of of each: (out col, out row, col, row) -> (row, out row; col, out col)
+        chois = np.concatenate(maps).reshape(-1, m, m, d, d).transpose(0, 4, 2, 3, 1)
+        lows = _choi_eigenvalues(chois.reshape(-1, d * m, d * m))[:, 0]
+        cases += len(lows)
+        violations += [
+            {"slot": slot, "states": list(label), "min_eigenvalue": float(low)}
+            for label, low in zip(labels, lows)
+            if low < -tol
+        ]
     return {"passed": not violations, "cases": cases, "violations": violations}
 
 
@@ -307,7 +296,7 @@ def kraus_from_choi(ch: QuantumChannel) -> KrausSet:
 
 
 def kraus_rank(ch: QuantumChannel) -> int:
-    vals = _choi_eigenvalues(ch)
+    vals = _choi_eigenvalues(ch.choi)
     return int(np.sum(vals > _kraus_cut(vals)))
 
 

@@ -474,8 +474,13 @@ def main(argv=None) -> int:
     report, code = run(args.command, args.inputs, args.tols, args.seed)
     text = io.canonical_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            # the one failure with no report: it has nowhere to go
+            sys.stderr.write(f"operaq: cannot write report to {args.out}: {e.strerror or e}\n")
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -12,7 +12,6 @@ the numerical content of the no-go statement at that dimension.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,7 +97,7 @@ def is_member(spec: IdealSpec, op) -> dict:
     the map a member."""
     mm = _as_multimap(op)
     chan = channels.choi_of(mm)
-    vals = channels._choi_eigenvalues(chan)
+    vals = channels._choi_eigenvalues(chan.choi)
     bad = float(vals[0])
     if bad < -1e-10:
         raise NotCompletelyPositiveError(
@@ -129,19 +128,9 @@ def is_member(spec: IdealSpec, op) -> dict:
         return {"member": False, "evidence": {"matched": None}}
     # evaluates-to-cloning-context
     if mm.arity != 1 or mm.output_operator_dim != mm.input_operator_dims[0] ** 2:
-        return {
-            "member": False,
-            "evidence": {"reason": "signature is not (d; d x d)"},
-        }
-    d = mm.input_operator_dims[0]
-    worst = 0.0
-    for p in broadcast_frame(d):
-        out = channels.apply_ops(mm, [p])
-        worst = max(worst, float(linalg.frobenius(out - np.kron(p, p))))
-    return {
-        "member": worst <= 1e-8,
-        "evidence": {"max_frame_residual": worst},
-    }
+        return {"member": False, "evidence": {"reason": "signature is not (d; d x d)"}}
+    worst = float(np.max(_cloning_residuals(mm, broadcast_frame(mm.input_operator_dims[0]))))
+    return {"member": worst <= 1e-8, "evidence": {"max_frame_residual": worst}}
 
 
 def sigma_multimap(mm: channels.OperatorMultiMap, perm) -> channels.OperatorMultiMap:
@@ -362,21 +351,23 @@ def adjoin_formal(spec: operad.OperadSpec, gen: FormalGenerator) -> operad.Opera
 # no-go witnesses
 
 
-def broadcast_frame(d: int):
-    """Deterministic spanning family of pure-state projectors: the basis
-    states, real and imaginary two-level superpositions, and two dense
-    vectors with distinct phase profiles."""
+def _projectors(vectors) -> np.ndarray:
+    """|v><v| for each row v of a (k, d) array, shape (k, d, d)."""
+    return vectors[:, :, None] * np.conj(vectors)[:, None, :]
+
+
+def broadcast_frame(d: int) -> np.ndarray:
+    """Deterministic spanning family of pure-state projectors, shape
+    (k, d, d): the basis states, real and imaginary two-level
+    superpositions, and two dense vectors with distinct phase profiles."""
     eye = np.eye(d, dtype=complex)
-    pairs = list(itertools.combinations(range(d), 2))
-    vectors = list(eye)
-    vectors += [(eye[i] + eye[j]) / np.sqrt(2) for i, j in pairs]
-    vectors += [(eye[i] + 1j * eye[j]) / np.sqrt(2) for i, j in pairs]
+    i, j = np.triu_indices(d, 1)  # the pairs i < j in lexicographic order
     v1 = np.arange(1, d + 1).astype(complex)
-    vectors.append(v1 / npl.norm(v1))
-    w = np.exp(2j * np.pi / (d + 1))
-    v2 = w ** np.arange(d)
-    vectors.append(v2 / npl.norm(v2))
-    return [np.outer(v, v.conj()) for v in vectors]
+    v2 = np.exp(2j * np.pi / (d + 1)) ** np.arange(d)
+    return _projectors(np.vstack([
+        eye, (eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2),
+        v1 / npl.norm(v1), v2 / npl.norm(v2),
+    ]))
 
 
 def _ptrace_superops(d: int):
@@ -390,10 +381,19 @@ def _ptrace_superops(d: int):
 
 def _broadcast_system(states):
     """F = [vec P_1 ... vec P_k] and B with columns [vec(P_j (x) P_j); vec P_j;
-    vec P_j], the targets of P_j's value and marginal rows."""
-    f = np.stack([linalg.vec(p) for p in states], axis=1)
-    values = np.stack([linalg.vec(np.kron(p, p)) for p in states], axis=1)
+    vec P_j], the targets of P_j's value and marginal rows, for a (k, d, d)
+    stack: vec M reads M^T row by row, and (P (x) P)^T = P^T (x) P^T."""
+    t = states.transpose(0, 2, 1)
+    f = t.reshape(len(t), -1).T
+    values = (t[:, :, None, :, None] * t[:, None, :, None, :]).reshape(len(t), -1).T
     return f, np.vstack([values, f, f])
+
+
+def _cloning_residuals(mm: channels.OperatorMultiMap, states) -> np.ndarray:
+    """||Phi(P) - P (x) P||_F for each P of a (k, d, d) stack: the value rows
+    of the broadcast system, with Phi applied to all of F by one product."""
+    f, b = _broadcast_system(states)
+    return npl.norm(mm.action_matrix @ f - b[: len(mm.action_matrix)], axis=0)
 
 
 def cloning_mixture_gap(rho_1, rho_2):
@@ -453,8 +453,8 @@ def broadcast_witness(d: int, state_sample: int = 10, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     validation = 0.0
     if state_sample:
-        psis = [sampling.random_pure(rng, d) for _ in range(state_sample)]
-        validation = residual(*_broadcast_system([np.outer(v, v.conj()) for v in psis]))
+        psis = np.array([sampling.random_pure(rng, d) for _ in range(state_sample)])
+        validation = residual(*_broadcast_system(_projectors(psis)))
     rho_1 = linalg.matrix_unit(d, 0, 0)
     rho_2 = linalg.matrix_unit(d, 1, 1)
     gap, expr = cloning_mixture_gap(rho_1, rho_2)
@@ -509,19 +509,16 @@ def clone_pattern_match(t, interp: operad.Interpretation, trials: int = 20, seed
             f"{mm.input_operator_dims} -> {mm.output_operator_dim}"
         )
     rng = np.random.default_rng(seed)
-    cases = [(f"frame[{k}]", p) for k, p in enumerate(broadcast_frame(d))]
-    for k in range(trials):
-        psi = sampling.random_pure(rng, d)
-        cases.append((f"random[{k}]", np.outer(psi, psi.conj())))
-    for label, p in cases:
-        r = float(linalg.frobenius(channels.apply_ops(mm, [p]) - np.kron(p, p)))
-        if r > 1e-8:
-            return {
-                "matches": False,
-                "uninterpretable": False,
-                "witness": {"state": label, "residual": r},
-            }
-    return {"matches": True, "uninterpretable": False, "witness": None}
+    frame = broadcast_frame(d)
+    psis = np.array([sampling.random_pure(rng, d) for _ in range(trials)]).reshape(trials, d)
+    residuals = _cloning_residuals(mm, np.concatenate([frame, _projectors(psis)]))
+    bad = np.flatnonzero(residuals > 1e-8)
+    witness = None
+    if bad.size:
+        k = int(bad[0])
+        label = f"frame[{k}]" if k < len(frame) else f"random[{k - len(frame)}]"
+        witness = {"state": label, "residual": float(residuals[k])}
+    return {"matches": witness is None, "uninterpretable": False, "witness": witness}
 
 
 def ideal_inclusion_check(inner: IdealSpec, outer: IdealSpec, pool) -> dict:

@@ -10,6 +10,7 @@ equal inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -31,6 +32,8 @@ def _unpair(entry, ctx: str) -> complex:
         return complex(float(entry[0]), float(entry[1]))
     except (TypeError, ValueError):
         raise SchemaError(f"{ctx}: non-numeric complex entry") from None
+    except OverflowError:
+        raise SchemaError(f"{ctx}: complex entry outside the float range") from None
 
 
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", bool: "a boolean"}
@@ -39,10 +42,13 @@ _REQUIRED = object()
 
 def _typed(value, ctx: str, kind):
     """value refused unless it has the JSON type kind (None: any); int means
-    a whole number, 2.0 included, and never true or false."""
+    a whole number, 2.0 included, and never true or false.  Like every
+    JSON number, it must fit a float."""
     if kind is int and not isinstance(value, bool) and (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
     ):
+        if abs(value) > sys.float_info.max:
+            raise SchemaError(f"{ctx}: integer outside the float range")
         return int(value)
     if kind is None or kind is not int and isinstance(value, kind):
         return value

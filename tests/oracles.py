@@ -1,9 +1,11 @@
 """Constructions the library no longer uses, kept as test oracles."""
 
+import itertools
+
 import numpy as np
 
 from operaq import channels as ch
-from operaq import linalg
+from operaq import ideals, linalg, sampling
 from operaq import multilinear as ml
 
 
@@ -252,3 +254,97 @@ def layered_circuit_map(interp, c, in_dims):
     din = int(np.prod(in_dims))
     dout = int(np.prod([dim[w] for w in c.out_wires]))
     return ch.OperatorMultiMap((din,), dout, t.transpose(order).reshape(side, -1))
+
+
+def partial_evaluation(mm, slot, states) -> np.ndarray:
+    """Fix every slot except `slot` at the given states; returns the
+    resulting superoperator, shape m^2 x d_slot^2."""
+    dims = mm.input_operator_dims
+    tensor = mm.action_matrix.reshape((mm.output_operator_dim**2,) + tuple(d * d for d in dims))
+    others = [i for i in range(mm.arity) if i != slot]
+    # contract from the highest axis down so earlier axis numbers stay valid
+    for axis_owner, state in sorted(zip(others, states), key=lambda p: -p[0]):
+        tensor = np.tensordot(tensor, linalg.vec(state), axes=([1 + axis_owner], [0]))
+    return tensor.reshape(mm.output_operator_dim**2, dims[slot] ** 2)
+
+
+def mcp_check(mm, tol=1e-10) -> dict:
+    """The slotwise CP scan one case at a time: each frozen tuple's partial
+    evaluation becomes a one-slot map whose Choi spectrum is read alone."""
+    rng = np.random.default_rng(0)
+    dims = mm.input_operator_dims
+    violations = []
+    cases = 0
+    for slot in range(mm.arity):
+        others = [i for i in range(mm.arity) if i != slot]
+        pools = [
+            [("maximally-mixed", np.eye(dims[i], dtype=complex) / dims[i])]
+            + [(f"projector-{k}", linalg.matrix_unit(dims[i], k, k)) for k in range(dims[i])]
+            for i in others
+        ]
+        tuples = [[]]
+        if others:
+            tuples = [
+                [pools[i][c] for i, c in enumerate(combo)]
+                for combo in np.ndindex(*[len(p) for p in pools])
+            ]
+            for t in range(5):
+                drawn = []
+                for i in others:
+                    d = dims[i]
+                    w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                    state = linalg.dagger(w) @ w
+                    drawn.append((f"ginibre-{t}", state / np.trace(state)))
+                tuples.append(drawn)
+        for labelled in tuples:
+            s_mat = partial_evaluation(mm, slot, [s for _, s in labelled])
+            sub = ch.OperatorMultiMap((dims[slot],), mm.output_operator_dim, s_mat)
+            low = ch.choi_min_eigenvalue(ch.choi_of(sub))
+            cases += 1
+            if low < -tol:
+                violations.append(
+                    {"slot": slot, "states": [name for name, _ in labelled], "min_eigenvalue": low}
+                )
+    return {"passed": not violations, "cases": cases, "violations": violations}
+
+
+def broadcast_frame(d):
+    """The cloning frame as a list of projectors, one outer product each."""
+    eye = np.eye(d, dtype=complex)
+    pairs = list(itertools.combinations(range(d), 2))
+    vectors = list(eye)
+    vectors += [(eye[i] + eye[j]) / np.sqrt(2) for i, j in pairs]
+    vectors += [(eye[i] + 1j * eye[j]) / np.sqrt(2) for i, j in pairs]
+    v1 = np.arange(1, d + 1).astype(complex)
+    vectors.append(v1 / np.linalg.norm(v1))
+    w = np.exp(2j * np.pi / (d + 1))
+    vectors.append(w ** np.arange(d) / np.linalg.norm(w ** np.arange(d)))
+    return [np.outer(v, v.conj()) for v in vectors]
+
+
+def _clone_residual(mm, p) -> float:
+    return float(linalg.frobenius(ch.apply_ops(mm, [p]) - np.kron(p, p)))
+
+
+def max_frame_residual(mm) -> float:
+    """The cloning predicate's evidence, one frame state at a time."""
+    worst = 0.0
+    for p in ideals.broadcast_frame(mm.input_operator_dims[0]):
+        worst = max(worst, _clone_residual(mm, p))
+    return worst
+
+
+def clone_witness(mm, trials, seed):
+    """clone_pattern_match's witness one state at a time: the first frame or
+    sampled pure state whose clone residual exceeds 1e-8, or None."""
+    d = mm.input_operator_dims[0]
+    rng = np.random.default_rng(seed)
+    cases = [(f"frame[{k}]", p) for k, p in enumerate(ideals.broadcast_frame(d))]
+    for k in range(trials):
+        psi = sampling.random_pure(rng, d)
+        cases.append((f"random[{k}]", np.outer(psi, psi.conj())))
+    for label, p in cases:
+        r = _clone_residual(mm, p)
+        if r > 1e-8:
+            return {"state": label, "residual": r}
+    return None

@@ -245,6 +245,38 @@ def test_mcp_check_reduces_to_is_cp_for_one_slot():
     assert not ch.mcp_check(ch.transpose_multimap(2))["passed"]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda dims: np.prod(dims) <= 12),
+    st.integers(1, 3),
+    st.sampled_from(("cp", "transposed", "ginibre")),
+    st.integers(0, 2**32 - 1),
+)
+def test_mcp_check_matches_the_per_case_oracle(dims, m, kind, seed):
+    rng = np.random.default_rng(seed)
+    din = int(np.prod(dims))
+    if kind == "ginibre":
+        action = sampling.ginibre(rng, m * m, din * din)
+    else:
+        action = ch.channel_multimap(sampling.random_channel(rng, din, m), tuple(dims)).action_matrix
+        if kind == "transposed":
+            # one slot's input transposed first: swap its (column, row) axes
+            j = int(rng.integers(len(dims)))
+            t = action.reshape([m * m] + [d for d in dims for _ in "cr"])
+            action = np.swapaxes(t, 1 + 2 * j, 2 + 2 * j).reshape(m * m, -1)
+    mm = ch.OperatorMultiMap(tuple(dims), m, action)
+    got, want = ch.mcp_check(mm), oracles.mcp_check(mm)
+    assert (got["passed"], got["cases"]) == (want["passed"], want["cases"])
+    # per slot: every tuple of extreme states of the other slots, and five Ginibre tuples
+    others = [[d + 1 for k, d in enumerate(dims) if k != j] for j in range(len(dims))]
+    assert got["cases"] == sum(int(np.prod(o)) + 5 if o else 1 for o in others)
+    assert [(v["slot"], v["states"]) for v in got["violations"]] == [
+        (v["slot"], v["states"]) for v in want["violations"]
+    ]
+    for g, w in zip(got["violations"], want["violations"]):
+        assert abs(g["min_eigenvalue"] - w["min_eigenvalue"]) <= 1e-9 * max(1.0, abs(w["min_eigenvalue"]))
+
+
 def test_factor_representation_is_star_homomorphism():
     rep = ch.factor_representation(2, 3, left_dim=2, right_dim=1)
     defects = representation_defects(rep)

@@ -556,6 +556,26 @@ def test_non_finite_entry_is_an_input_error(tmp_path):
     assert "result" not in rep
 
 
+@pytest.mark.parametrize("field", [("data", "data", 0, 0), ("in_dim",)])
+def test_integer_outside_the_float_range_is_an_input_error(tmp_path, field):
+    # JSON integers are exact, so 10**400 parses; as an entry or a dim it is refused
+    obj = _with(io.encode_channel(ch.identity_channel(1)), field, 10**400)
+    path = write(tmp_path, "huge.json", obj)
+    code, rep = invoke(tmp_path, "--command", "check-cp", "--in", path)
+    assert code == 2 and "result" not in rep
+    ctx = f"{path}.data" if field[0] == "data" else f"{path}.in_dim"
+    assert rep["error"].startswith(f"{ctx}: ") and "outside the float range" in rep["error"]
+
+
+def test_unwritable_report_path_exits_2_with_the_reason_on_stderr(tmp_path, capsys):
+    # a directory as --out: the report has nowhere to go, so the reason goes to stderr
+    code = cli.main(["--command", "nogo-broadcast", "--seed", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"operaq: cannot write report to {tmp_path}: ")
+    assert "Traceback" not in err
+
+
 def test_broadcast_witness_dimension_one_is_an_input_error(tmp_path):
     code, rep = invoke(tmp_path, "--command", "nogo-broadcast", "--seed", "0", "--tol", "d=1")
     assert code == 2
@@ -808,8 +828,9 @@ def _fuzz_fixtures():
 FUZZ_FIXTURES = _fuzz_fixtures()
 
 # one value of each JSON type, kept small: a replaced dim or arity must not
-# ask for a large allocation or a long loop
-REPLACEMENTS = (None, True, False, 0, -1, 3, 2.5, "", "x", [], [0], {}, {"x": 1})
+# ask for a large allocation or a long loop; the one large value, an integer
+# outside the float range, is refused wherever it stands
+REPLACEMENTS = (None, True, False, 0, -1, 3, 2.5, "", "x", [], [0], {}, {"x": 1}, 10**400)
 
 
 def _field_paths(obj, at=()):

@@ -166,11 +166,7 @@ def oracle_is_member(spec, op, tol=1e-9):
         return {"member": False, "evidence": {"matched": None}}
     if mm.arity != 1 or mm.output_operator_dim != mm.input_operator_dims[0] ** 2:
         return {"member": False, "evidence": {"reason": "signature is not (d; d x d)"}}
-    d = mm.input_operator_dims[0]
-    worst = 0.0
-    for p in ideals.broadcast_frame(d):
-        out = ch.apply_ops(mm, [p])
-        worst = max(worst, float(linalg.frobenius(out - np.kron(p, p))))
+    worst = oracles.max_frame_residual(mm)
     return {"member": worst <= 1e-8, "evidence": {"max_frame_residual": worst}}
 
 
@@ -215,6 +211,10 @@ def test_is_member_matches_the_eigh_oracle(op, other):
                 got = ideals.is_member(spec, op)
         else:
             got = ideals.is_member(spec, op)
+        if "max_frame_residual" in want["evidence"]:
+            # one product over the stacked frame rounds apart from state by state
+            g, w = got["evidence"].pop("max_frame_residual"), want["evidence"].pop("max_frame_residual")
+            assert abs(g - w) <= 1e-9 * max(1.0, w)
         assert got == want
 
 
@@ -772,6 +772,62 @@ def test_clone_pattern_rejects_every_interpreted_term():
     assert not report["matches"]
     assert not report["uninterpretable"]
     assert report["witness"]["residual"] > 0.1
+
+
+@st.composite
+def would_be_cloners(draw):
+    """(d; d*d) maps, d 1-3: the basis copier, which clones the basis states
+    (every state at d = 1), and x -> x (x) |0><0|, which clones |0> only,
+    each mixed with a random channel at weight 0, 1e-10, 1e-6 or 0.3; or a
+    Ginibre action, which is not CP."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("copier", "ancilla", "ginibre")))
+    if kind == "ginibre":
+        return ch.OperatorMultiMap((d,), d * d, sampling.ginibre(rng, d**4, d * d))
+    eye = np.eye(d)
+    if kind == "copier":
+        ks = ch.KrausSet(tuple(np.outer(np.kron(eye[i], eye[i]), eye[i]) for i in range(d)))
+    else:
+        ks = ch.KrausSet((np.kron(eye, eye[:, :1]),))
+    eps = draw(st.sampled_from((0.0, 1e-10, 1e-6, 0.3)))
+    choi = (1 - eps) * ch.choi_of(ks).choi + eps * sampling.random_channel(rng, d, d * d).choi
+    return ch.channel_multimap(ch.QuantumChannel(d, d * d, choi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(would_be_cloners(), st.integers(0, 25), st.integers(0, 2**32 - 1), st.booleans())
+def test_cloning_checks_match_the_per_state_oracles(mm, trials, seed, first_state_only):
+    def close(got, want):
+        return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    spec = operad.OperadSpec((operad.OperadSymbol("f", 1),))
+    interp = operad.Interpretation(spec, {"f": mm})
+    t = operad.Apply(spec["f"], (operad.Leaf(0),))
+    frame = ideals.broadcast_frame
+    # a frame cut to its first state lets sampled states carry the witness
+    cut = (lambda d: frame(d)[:1]) if first_state_only else frame
+    with mock.patch.object(ideals, "broadcast_frame", cut):
+        got = ideals.clone_pattern_match(t, interp, trials=trials, seed=seed)
+        want = oracles.clone_witness(mm, trials, seed)
+    assert got["matches"] == (want is None) and not got["uninterpretable"]
+    if want is not None:
+        assert got["witness"]["state"] == want["state"]
+        assert close(got["witness"]["residual"], want["residual"])
+    if ch.is_cp(ch.choi_of(mm)):
+        verdict = ideals.is_member(ideals.IdealSpec("clone", "evaluates-to-cloning-context"), mm)
+        worst = oracles.max_frame_residual(mm)
+        assert verdict["member"] == (worst <= 1e-8)
+        assert close(verdict["evidence"]["max_frame_residual"], worst)
+
+
+def test_broadcast_frame_is_one_stack_of_pure_state_projectors():
+    for d in (1, 2, 3, 4):
+        frame = ideals.broadcast_frame(d)
+        assert frame.shape == (d * d + 2, d, d)
+        assert np.array_equal(frame, np.array(oracles.broadcast_frame(d)))
+        assert np.allclose(frame @ frame, frame, atol=1e-12)
+        assert np.allclose(np.trace(frame, axis1=1, axis2=2), 1.0, atol=1e-12)
 
 
 def test_clone_pattern_flags_formal_terms_as_uninterpretable():
