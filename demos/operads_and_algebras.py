@@ -71,14 +71,16 @@ remixed = ch.KrausSet(
 )
 phi_remixed = ch.choi_of(remixed)
 
-verdict = monad.operational_equivalence(phi, phi_remixed, interp, term_trials=10, seed=5)
+# exact: every decorated term counts, the unit term (the bare slot) included
+verdict = monad.operational_equivalence(phi, phi_remixed, interp)
 print("remixed presentation equivalent:", verdict["equivalent"])
 
 other = sampling.random_channel(rng, 2, 2)
-verdict = monad.operational_equivalence(phi, other, interp, term_trials=10, seed=6)
+verdict = monad.operational_equivalence(phi, other, interp)
 print("distinct channel separated:", not verdict["equivalent"])
 if verdict["witness"]:
     print("witness residual:", verdict["witness"]["residual"])
+print("residual on the span of symbol-rooted terms:", verdict["range_residual"])
 
 # ---- realizing a channel as a circuit ----------------------------------------
 

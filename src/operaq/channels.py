@@ -46,6 +46,9 @@ class OperatorMultiMap:
     action_matrix: np.ndarray
 
     def __post_init__(self):
+        ins, out = list(self.input_operator_dims), self.output_operator_dim
+        if any(d < 1 for d in ins + [out]):
+            raise DimensionMismatchError(f"operator dims {ins} -> {out} must be at least 1")
         a = linalg.as_matrix(self.action_matrix)
         cols = int(np.prod([d * d for d in self.input_operator_dims])) if self.input_operator_dims else 1
         if a.shape != (self.output_operator_dim**2, cols):
@@ -112,6 +115,10 @@ class QuantumChannel:
     choi: np.ndarray
 
     def __post_init__(self):
+        if self.in_dim < 1 or self.out_dim < 1:
+            raise DimensionMismatchError(
+                f"channel dims {self.in_dim} -> {self.out_dim} must be at least 1"
+            )
         c = linalg.as_matrix(self.choi)
         side = self.in_dim * self.out_dim
         if c.shape != (side, side):

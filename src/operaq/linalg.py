@@ -89,13 +89,6 @@ def matrix_unit(d: int, k: int, l: int) -> np.ndarray:
     return e
 
 
-def matrix_units(d: int):
-    """Yield (k, l, E_kl) over the standard basis of M_d."""
-    for k in range(d):
-        for l in range(d):
-            yield k, l, matrix_unit(d, k, l)
-
-
 def basis_vector(d: int, i: int) -> np.ndarray:
     e = np.zeros(d, dtype=complex)
     e[i] = 1.0

@@ -237,13 +237,6 @@ def _corolla(sym: operad.OperadSymbol):
     return operad.Apply(sym, tuple(operad.Leaf(i) for i in range(sym.arity)))
 
 
-def _trial_term(rng, trial: int, pool):
-    """Even trials draw a corolla of the pool, odd trials a deeper term."""
-    if trial % 2 == 0:
-        return _corolla(pool[int(rng.integers(len(pool)))])
-    return operad.random_term(rng, pool)
-
-
 def algebra_law_suite(
     interp: operad.Interpretation, trials: int = 25, seed: int = 0, tol: float = 1e-10
 ) -> dict:
@@ -274,111 +267,103 @@ def _assigned_symbols(interp: operad.Interpretation):
     return [interp.operad[name] for name in sorted(interp.assign)]
 
 
+def _endomap(interp: operad.Interpretation, sym: operad.OperadSymbol, d: int) -> np.ndarray:
+    """The action matrix of sym, refused unless it takes sym.arity copies of
+    M_d to M_d."""
+    mm = interp.action(sym.name)
+    if mm.input_operator_dims != (d,) * sym.arity or mm.output_operator_dim != d:
+        raise DimensionMismatchError(
+            f"the action of {sym.name} takes dims {list(mm.input_operator_dims)} to "
+            f"{mm.output_operator_dim}, not {sym.arity} copies of the carrier dim {d} to it"
+        )
+    return mm.action_matrix
+
+
 def homomorphism_check(
-    f: Callable,
+    f: channels.OperatorMultiMap,
     interp_a: operad.Interpretation,
     interp_b: operad.Interpretation,
-    trials: int = 50,
-    seed: int = 0,
     tol: float = 1e-10,
 ) -> dict:
-    """Test f(eval_A([t; a])) = eval_B([t; f(a)]) on random generators.
+    """Decide whether the one-slot map f is an algebra homomorphism from A
+    to B: f(eval_A([t; a])) = eval_B([t; f(a)]) for every decorated term.
 
-    Even trials use single-symbol generators, odd trials deeper terms."""
-    rng = np.random.default_rng(seed)
+    By the recursion of operad.evaluate this holds for every term once it
+    holds for every assigned symbol s, that is S_f A_s = B_s (S_f (x) ...
+    (x) S_f), one tensordot per slot.  A column of the difference is the
+    square on the corolla of s decorated with matrix units; the witness is
+    the worst column over all symbols, and max_residual its norm."""
     d_a, d_b = interp_a.carrier(), interp_b.carrier()
+    if f.input_operator_dims != (d_a,) or f.output_operator_dim != d_b:
+        m = f.output_operator_dim
+        raise DimensionMismatchError(
+            f"the map under test takes {f.input_operator_dims * 2} to {(m, m)} values, "
+            f"but the homomorphism square needs {(d_a, d_a)} to {(d_b, d_b)}"
+        )
     symbols = _assigned_symbols(interp_a)
     if not symbols:
         raise UnassignedSymbolError("the source interpretation assigns no symbols")
-    worst = 0.0
+    s_f = f.action_matrix
+    worst, at = -1.0, None
+    for sym in symbols:
+        rhs = _endomap(interp_b, sym, d_b).reshape((d_b * d_b,) * (1 + sym.arity))
+        for _ in range(sym.arity):
+            rhs = np.tensordot(rhs, s_f, axes=(1, 0))
+        diff = s_f @ _endomap(interp_a, sym, d_a) - rhs.reshape(d_b * d_b, -1)
+        cols = npl.norm(diff, axis=0)
+        c = int(np.argmax(cols))
+        if cols[c] > worst:
+            worst, at = float(cols[c]), (sym, c)
     witness = None
-    for trial in range(trials):
-        term = _trial_term(rng, trial, symbols)
-        n = operad.arity(term)
-        args = tuple(
-            rng.normal(size=(d_a, d_a)) + 1j * rng.normal(size=(d_a, d_a)) for _ in range(n)
-        )
-        lhs = f(operad.evaluate(interp_a, term, args, d_a))
-        rhs = operad.evaluate(interp_b, term, tuple(f(a) for a in args), d_b)
-        if np.shape(lhs) != np.shape(rhs):
-            raise DimensionMismatchError(
-                f"the homomorphism square compares values of shapes "
-                f"{np.shape(lhs)} and {np.shape(rhs)}"
-            )
-        r = float(linalg.frobenius(lhs - rhs))
-        worst = max(worst, r)
-        if witness is None and r > tol:
-            witness = {"term": term, "args": args, "residual": r}
-    return {
-        "passed": worst <= tol,
-        "max_residual": worst,
-        "trials": trials,
-        "tol": tol,
-        "witness": witness,
-    }
+    if worst > tol:
+        # slot index q is vec(E_kl) with q = l d + k
+        sym, c = at
+        slots = np.unravel_index(c, (d_a * d_a,) * sym.arity)
+        args = [linalg.matrix_unit(d_a, int(q) % d_a, int(q) // d_a) for q in slots]
+        witness = {"term": _corolla(sym), "args": args, "residual": worst}
+    return {"passed": worst <= tol, "max_residual": worst, "tol": tol, "witness": witness}
 
 
 def operational_equivalence(
     phi_a: channels.QuantumChannel,
     phi_b: channels.QuantumChannel,
     interp: operad.Interpretation,
-    term_trials: int = 25,
-    seed: int = 0,
     tol: float = 1e-10,
 ) -> dict:
-    """Decide whether two channels evaluate identically over all decorated
-    terms of the interpretation, up to the implemented sweep.
+    """Decide whether two channels agree on the value of every decorated
+    term of the interpretation, the unit term included.
 
-    The deterministic part sweeps every assigned symbol of arity at most two
-    over matrix-unit decorations; the random part draws deeper terms with
-    Ginibre decorations.  Agreement everywhere is equivalence relative to
-    this sweep; the first disagreement is returned as a witness."""
+    The unit term's values are all of M_d, so equivalence is equality of
+    the channels, compared matrix unit by matrix unit on the Choi
+    difference; the witness is the unit term on the worst matrix unit.
+    range_residual is ||(S_a - S_b) Q_V|| in the operator norm, on the span
+    V of the values of symbol-rooted terms: the sum of the ranges of the
+    actions A_s, read off one eigh of sum_s A_s A_s^dag (eigenvalues above
+    1e-9 of the largest)."""
     if (phi_a.in_dim, phi_a.out_dim) != (phi_b.in_dim, phi_b.out_dim):
         raise DimensionMismatchError("channels being compared must share dimensions")
-    # each case is evaluated once and its value pushed through both channels
-    d = interp.carrier()
+    d, m = interp.carrier(), phi_a.out_dim
     if phi_a.in_dim != d:
         raise DimensionMismatchError(
             f"channel input dim {phi_a.in_dim} does not match the carrier dim {d}"
         )
-    units = [e for _, _, e in linalg.matrix_units(d)]
-    worst = 0.0
+    # diff[i, a, j, b] = (Phi_a - Phi_b)(E_ij)[a, b]
+    diff = (phi_a.choi - phi_b.choi).reshape(d, m, d, m)
+    units = npl.norm(diff, axis=(1, 3))
+    i, j = divmod(int(np.argmax(units)), d)
+    worst = float(units[i, j])
+    actions = [_endomap(interp, sym, d) for sym in _assigned_symbols(interp)]
+    w, u = npl.eigh(sum((a @ a.conj().T for a in actions), np.zeros((d * d, d * d))))
+    basis = u[:, w > linalg.RANK_TOL * w[-1]].reshape(d, d, -1)  # [col, row, k]
+    on_range = np.einsum("jik,iajb->kab", basis, diff).reshape(basis.shape[2], -1)
     witness = None
-    sweep_cases = 0
-
-    def run(term, arg_tuples):
-        nonlocal worst, witness, sweep_cases
-        for args in arg_tuples:
-            sweep_cases += 1
-            v = operad.evaluate(interp, term, args, d)
-            r = float(linalg.frobenius(
-                channels.channel_apply(phi_a, v) - channels.channel_apply(phi_b, v)
-            ))
-            worst = max(worst, r)
-            if witness is None and r > tol:
-                witness = {"term": term, "args": list(args), "residual": r}
-
-    for sym in _assigned_symbols(interp):
-        if sym.arity > 2:
-            continue
-        run(_corolla(sym), itertools.product(units, repeat=sym.arity))
-    rng = np.random.default_rng(seed)
-    pool = _assigned_symbols(interp)
-    random_cases = 0
-    for _ in range(term_trials):
-        term = operad.random_term(rng, pool)
-        n = operad.arity(term)
-        args = tuple(
-            rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n)
-        )
-        run(term, [args])
-        random_cases += 1
+    if worst > tol:
+        witness = {"term": operad.unit_term(), "args": [linalg.matrix_unit(d, i, j)], "residual": worst}
     return {
         "equivalent": worst <= tol,
         "max_residual": worst,
+        "range_residual": linalg.op_norm(on_range),
         "tol": tol,
-        "sweep_cases": sweep_cases - random_cases,
-        "random_trials": random_cases,
         "witness": witness,
     }
 
@@ -475,9 +460,10 @@ def monoidal_compat_check(
     representations on product generators, within 1e-10.
 
     Slot convention for the interleaving: all slots of the first factor
-    precede those of the second.  Each trial evaluates a decorated term
-    separately in both carriers and checks that the kron of the values,
-    pushed through channel_kron, matches the kron of the pushed values."""
+    precede those of the second.  Each trial evaluates a decorated term, a
+    corolla on even trials and a deeper term on odd ones, separately in
+    both carriers and checks that the kron of the values, pushed through
+    channel_kron, matches the kron of the pushed values."""
     if isinstance(interp, operad.Interpretation):
         i_1 = i_2 = interp
     else:
@@ -495,7 +481,10 @@ def monoidal_compat_check(
     pool = [i_1.operad[nm] for nm in names]
     worst = 0.0
     for trial in range(trials):
-        term = _trial_term(rng, trial, pool)
+        if trial % 2 == 0:
+            term = _corolla(pool[int(rng.integers(len(pool)))])
+        else:
+            term = operad.random_term(rng, pool)
         n = operad.arity(term)
         a = [rng.normal(size=(d_1, d_1)) + 1j * rng.normal(size=(d_1, d_1)) for _ in range(n)]
         b = [rng.normal(size=(d_2, d_2)) + 1j * rng.normal(size=(d_2, d_2)) for _ in range(n)]

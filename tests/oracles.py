@@ -5,8 +5,15 @@ import itertools
 import numpy as np
 
 from operaq import channels as ch
-from operaq import ideals, linalg, sampling
+from operaq import ideals, linalg, operad, sampling
 from operaq import multilinear as ml
+
+
+def matrix_units(d: int):
+    """Yield (k, l, E_kl) over the standard basis of M_d."""
+    for k in range(d):
+        for l in range(d):
+            yield k, l, linalg.matrix_unit(d, k, l)
 
 
 def factor_permutation_index(dims, perm) -> np.ndarray:
@@ -112,7 +119,7 @@ def factor_representation(d, multiplicity, left_dim=1, right_dim=1):
     il = np.eye(left_dim, dtype=complex)
     im = np.eye(multiplicity, dtype=complex)
     ir = np.eye(right_dim, dtype=complex)
-    for k, l, e in linalg.matrix_units(d):
+    for k, l, e in matrix_units(d):
         images[k, l] = linalg.kron_all([il, e, im, ir])
     return ch.StarRepresentation(d, carrier, images)
 
@@ -348,3 +355,67 @@ def clone_witness(mm, trials, seed):
         if r > 1e-8:
             return {"state": label, "residual": r}
     return None
+
+
+def _corolla(sym):
+    return operad.Apply(sym, tuple(operad.Leaf(i) for i in range(sym.arity)))
+
+
+def _assigned(interp):
+    return [interp.operad[name] for name in sorted(interp.assign)]
+
+
+def _ginibre_args(rng, n, d):
+    return tuple(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n))
+
+
+def sampled_homomorphism_check(f, interp_a, interp_b, trials=50, seed=0, tol=1e-10):
+    """The sampled homomorphism test: f(eval_A([t; a])) against
+    eval_B([t; f(a)]) on random decorated terms, even trials a corolla of
+    an assigned symbol and odd trials a deeper term."""
+    rng = np.random.default_rng(seed)
+    d_a, d_b = interp_a.carrier(), interp_b.carrier()
+    symbols = _assigned(interp_a)
+    worst, witness = 0.0, None
+    for trial in range(trials):
+        if trial % 2 == 0:
+            term = _corolla(symbols[int(rng.integers(len(symbols)))])
+        else:
+            term = operad.random_term(rng, symbols)
+        args = _ginibre_args(rng, operad.arity(term), d_a)
+        lhs = ch.apply_ops(f, [operad.evaluate(interp_a, term, args, d_a)])
+        rhs = operad.evaluate(interp_b, term, tuple(ch.apply_ops(f, [a]) for a in args), d_b)
+        r = float(linalg.frobenius(lhs - rhs))
+        worst = max(worst, r)
+        if witness is None and r > tol:
+            witness = {"term": term, "args": args, "residual": r}
+    return {"passed": worst <= tol, "max_residual": worst, "witness": witness}
+
+
+def sampled_operational_equivalence(phi_a, phi_b, interp, term_trials=25, seed=0, tol=1e-10):
+    """The sampled equivalence test: every assigned symbol of arity at most
+    two swept over matrix-unit decorations, then random terms (a bare leaf
+    among them now and then) with Ginibre decorations, each value pushed
+    through both channels."""
+    d = interp.carrier()
+    units = [e for _, _, e in matrix_units(d)]
+    worst, witness = 0.0, None
+
+    def run(term, arg_tuples):
+        nonlocal worst, witness
+        for args in arg_tuples:
+            v = operad.evaluate(interp, term, args, d)
+            r = float(linalg.frobenius(ch.channel_apply(phi_a, v) - ch.channel_apply(phi_b, v)))
+            worst = max(worst, r)
+            if witness is None and r > tol:
+                witness = {"term": term, "args": list(args), "residual": r}
+
+    pool = _assigned(interp)
+    for sym in pool:
+        if sym.arity <= 2:
+            run(_corolla(sym), itertools.product(units, repeat=sym.arity))
+    rng = np.random.default_rng(seed)
+    for _ in range(term_trials):
+        term = operad.random_term(rng, pool)
+        run(term, [_ginibre_args(rng, operad.arity(term), d)])
+    return {"equivalent": worst <= tol, "max_residual": worst, "witness": witness}

@@ -529,7 +529,7 @@ def test_products_and_applications_build_no_superoperator(monkeypatch):
     assert ch.channel_kron(phi_a, phi_b).choi.shape == (24, 24)
     assert ch.channel_apply(phi_a, np.eye(2)).shape == (3, 3)
     assert monad.monoidal_compat_check(phi_a, phi_b, interp, trials=4, seed=1)["trials"] == 4
-    assert "equivalent" in monad.operational_equivalence(phi_b, phi_b, interp, term_trials=4)
+    assert "equivalent" in monad.operational_equivalence(phi_b, phi_b, interp)
     assert ch.channel_apply(phi_a, monad.algebra_eval(interp, elem)).shape == (3, 3)
 
 

@@ -387,6 +387,51 @@ def test_opequiv_separates_channels(tmp_path):
     assert "op" in rep["result"]["witness"]["term"] or "slot" in rep["result"]["witness"]["term"]
 
 
+def test_opequiv_and_homcheck_results_are_the_same_for_every_seed_and_for_none(tmp_path):
+    # identity against full dephasing under one dephasing symbol: the two
+    # agree on every value of the symbol, not on the unit term's values
+    dephase = ch.choi_of(ch.KrausSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))))
+    interp = operad.Interpretation(
+        operad.OperadSpec((operad.OperadSymbol("dephase", 1),)), {"dephase": dephase}, carrier_dim=2
+    )
+    ipath = write(tmp_path, "interp.json", io.encode_interpretation(interp))
+    ident = write(tmp_path, "id.json", io.encode_channel(ch.identity_channel(2)))
+    deph = write(tmp_path, "deph.json", io.encode_channel(dephase))
+    seeds = [[]] + [["--seed", str(s)] for s in range(5)]
+    runs = [
+        invoke(tmp_path, "--command", "opequiv", "--in", ident, "--in", deph, "--in", ipath,
+               "--tol", "trials=1", *seed)
+        for seed in seeds
+    ]
+    for code, rep in runs:
+        assert code == 1
+        assert rep["result"] == runs[0][1]["result"]
+    result = runs[0][1]["result"]
+    assert result["equivalent"] is False and result["range_residual"] <= 1e-12
+    assert set(result) == {"equivalent", "max_residual", "range_residual", "tol", "witness"}
+    assert result["witness"]["term"] == {"slot": 0}
+    runs = [
+        invoke(tmp_path, "--command", "homcheck", "--in", ident, "--in", ipath, "--in", ipath, *seed)
+        for seed in seeds
+    ]
+    for code, rep in runs:
+        assert code == 0
+        assert rep["result"] == {"max_residual": 0.0, "passed": True, "tol": 1e-10, "witness": None}
+
+
+@pytest.mark.parametrize("artifact", [
+    {"in_dim": 0, "out_dim": 2, "repr": "choi", "data": {"rows": 0, "cols": 0, "data": []}},
+    {"input_dims": [0, 2], "output_dim": 2, "action": {"rows": 4, "cols": 0, "data": []}},
+    {"input_dims": [2, 2], "output_dim": 0, "action": {"rows": 0, "cols": 16, "data": []}},
+])
+def test_zero_dimension_is_an_input_error(tmp_path, artifact):
+    path = write(tmp_path, "zero.json", artifact)
+    code, rep = invoke(tmp_path, "--command", "check-cp", "--in", path)
+    assert code == 2
+    assert "result" not in rep
+    assert "must be at least 1" in rep["error"]
+
+
 def test_opequiv_refuses_a_channel_off_the_carrier(tmp_path):
     interp_path = write(tmp_path, "interp.json", qubit_interp_obj())
     qutrit = write(tmp_path, "id3.json", io.encode_channel(ch.identity_channel(3)))

@@ -69,8 +69,8 @@ def test_monad_evaluation_builds_no_multimap(monkeypatch):
     monkeypatch.setattr(op, "_contract", banned)
     assert np.array_equal(monad.algebra_eval(interp, x), want)
     assert monad.algebra_law_suite(interp, trials=4, seed=1)["passed"]
-    assert monad.homomorphism_check(lambda a: a, interp, interp, trials=6, seed=2)["passed"]
-    assert monad.operational_equivalence(phi, phi, interp, term_trials=4, seed=3)["equivalent"]
+    assert monad.homomorphism_check(ch.identity_multimap(2), interp, interp)["passed"]
+    assert monad.operational_equivalence(phi, phi, interp)["equivalent"]
     assert monad.monoidal_compat_check(phi, phi, interp, trials=4, seed=4)["passed"]
 
 
@@ -85,8 +85,10 @@ def test_wrong_size_decoration_is_a_dimension_error():
             monad.algebra_eval(interp, monad.unit(wrong))
         with pytest.raises(DimensionMismatchError):
             monad.algebra_eval(interp, monad.MonadElement(((1.0, op.Apply(g, (op.Leaf(0),)), (wrong,)),)))
-        with pytest.raises(DimensionMismatchError):
-            monad.homomorphism_check(lambda a: np.eye(d), interp, interp, trials=2, seed=0)
+        # a map of the carrier onto M_d, its image refused by the square
+        onto = ch.OperatorMultiMap((2,), d, np.ones((d * d, 4)))
+        with pytest.raises(DimensionMismatchError, match=rf"\(2, 2\) to \({d}, {d}\)"):
+            monad.homomorphism_check(onto, interp, interp)
 
 
 def test_root_off_the_carrier_is_a_dimension_error():

@@ -162,23 +162,10 @@ def test_algebra_eval_rejects_nested():
         monad.algebra_eval(interp, nested)
 
 
-def test_trial_term_draws_like_the_inline_draw():
-    pool = [F, G, op.OperadSymbol("id", 1)]
-    old, new = np.random.default_rng(3), np.random.default_rng(3)
-    for trial in range(40):
-        if trial % 2 == 0:
-            sym = pool[int(old.integers(len(pool)))]
-            want = op.Apply(sym, tuple(op.Leaf(i) for i in range(sym.arity)))
-        else:
-            want = op.random_term(old, pool)
-        assert monad._trial_term(new, trial, pool) == want
-    assert old.integers(2**62) == new.integers(2**62)
-
-
 def test_homomorphism_identity_passes():
     rng = np.random.default_rng(11)
     interp = cp_interpretation(rng)
-    report = monad.homomorphism_check(lambda a: a, interp, interp, trials=20, seed=1)
+    report = monad.homomorphism_check(ch.identity_multimap(2), interp, interp)
     assert report["passed"]
     assert report["witness"] is None
 
@@ -187,10 +174,11 @@ def test_homomorphism_commuting_conjugation():
     rng = np.random.default_rng(12)
     d1 = np.diag(np.exp(1j * rng.normal(size=2)))
     d2 = np.diag(np.exp(1j * rng.normal(size=2)))
-    conj1 = ch.multimap_from_function(lambda x: d1 @ x @ d1.conj().T, (2,), 2)
+    conj1 = ch.choi_of(ch.KrausSet((d1,)))
     spec = op.OperadSpec((op.OperadSymbol("v", 1), op.OperadSymbol("id", 1)))
     interp = op.Interpretation(spec, {"v": conj1, "id": ch.identity_multimap(2)}, carrier_dim=2)
-    report = monad.homomorphism_check(lambda x: d2 @ x @ d2.conj().T, interp, interp, trials=20, seed=2)
+    conj2 = ch.channel_multimap(ch.choi_of(ch.KrausSet((d2,))))
+    report = monad.homomorphism_check(conj2, interp, interp)
     assert report["passed"]
 
 
@@ -199,39 +187,53 @@ def test_homomorphism_transpose_fails_with_witness():
     # gate needs genuinely complex entries to separate
     rng = np.random.default_rng(13)
     u = sampling.random_unitary(rng, 2)
-    gate = ch.multimap_from_function(lambda x: u @ x @ u.conj().T, (2,), 2)
-    spec = op.OperadSpec((op.OperadSymbol("w", 1), op.OperadSymbol("id", 1)))
-    interp = op.Interpretation(spec, {"w": gate, "id": ch.identity_multimap(2)}, carrier_dim=2)
-    report = monad.homomorphism_check(lambda x: x.T, interp, interp, trials=20, seed=3)
-    assert not report["passed"]
-    assert report["witness"] is not None
-    assert report["witness"]["residual"] > 1e-10
-
-
-@pytest.mark.parametrize("trials", [1, 2, 3])
-def test_homomorphism_refuses_values_of_different_shapes(trials):
-    # a nullary carrier-2 symbol and F = trace: the square would compare a
-    # 1 x 1 value with a 2 x 2 one, which must not broadcast into a residual
-    prep = op.OperadSymbol("prep", 0)
+    gate = ch.choi_of(ch.KrausSet((u,)))
+    w = op.OperadSymbol("w", 1)
     interp = op.Interpretation(
-        op.OperadSpec((prep,)),
-        {"prep": ch.OperatorMultiMap((), 2, linalg.vec(np.eye(2) / 2).reshape(-1, 1))},
+        op.OperadSpec((w, op.OperadSymbol("id", 1))),
+        {"w": gate, "id": ch.identity_multimap(2)},
         carrier_dim=2,
     )
-    with pytest.raises(DimensionMismatchError, match=r"\(1, 1\) and \(2, 2\)"):
-        monad.homomorphism_check(
-            lambda x: np.trace(x).reshape(1, 1), interp, interp, trials=trials, seed=0
-        )
+    t = ch.transpose_multimap(2)
+    report = monad.homomorphism_check(t, interp, interp)
+    assert not report["passed"]
+    witness = report["witness"]
+    assert witness["term"] == op.Apply(w, (op.Leaf(0),))
+    assert witness["residual"] == report["max_residual"] > 1e-10
+    # the witness is a matrix unit on which the square really fails
+    (e,) = witness["args"]
+    assert np.count_nonzero(e) == 1 and e.sum() == 1
+    lhs = ch.apply_ops(t, [op.evaluate(interp, witness["term"], [e], 2)])
+    rhs = op.evaluate(interp, witness["term"], [ch.apply_ops(t, [e])], 2)
+    assert np.linalg.norm(lhs - rhs) == pytest.approx(witness["residual"], abs=1e-12)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_homomorphism_refuses_values_of_different_shapes(arity):
+    # a carrier-2 algebra and F = trace: the square would compare a 1 x 1
+    # value with a 2 x 2 one, whatever the arity of the symbols
+    prep, s = op.OperadSymbol("prep", 0), op.OperadSymbol("s", arity)
+    interp = op.Interpretation(
+        op.OperadSpec((prep, s)),
+        {
+            "prep": ch.OperatorMultiMap((), 2, linalg.vec(np.eye(2) / 2).reshape(-1, 1)),
+            "s": ch.OperatorMultiMap((2,) * arity, 2, np.ones((4, 4**arity))),
+        },
+        carrier_dim=2,
+    )
+    trace = ch.OperatorMultiMap((2,), 1, linalg.vec(np.eye(2)).reshape(1, -1))
+    with pytest.raises(DimensionMismatchError, match=r"\(2, 2\) to \(1, 1\) values"):
+        monad.homomorphism_check(trace, interp, interp)
 
 
 def test_operational_equivalence_same_channel():
     rng = np.random.default_rng(16)
     interp = cp_interpretation(rng)
     phi = sampling.random_channel(rng, 2, 2)
-    verdict = monad.operational_equivalence(phi, phi, interp, term_trials=10, seed=5)
+    verdict = monad.operational_equivalence(phi, phi, interp)
     assert verdict["equivalent"]
     assert verdict["witness"] is None
-    assert verdict["sweep_cases"] > 0
+    assert verdict["max_residual"] == verdict["range_residual"] == 0.0
 
 
 def test_operational_equivalence_kraus_reshuffle():
@@ -243,7 +245,7 @@ def test_operational_equivalence_kraus_reshuffle():
     u = sampling.random_unitary(rng, r)
     remixed = [sum(u[b, a] * ks.operators[a] for a in range(r)) for b in range(r)]
     phi_b = ch.choi_of(ch.KrausSet(tuple(remixed)))
-    verdict = monad.operational_equivalence(phi, phi_b, interp, term_trials=10, seed=6)
+    verdict = monad.operational_equivalence(phi, phi_b, interp)
     assert verdict["equivalent"]
 
 
@@ -253,10 +255,13 @@ def test_operational_equivalence_separates():
     ident = ch.identity_channel(2)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     flip = ch.choi_of(ch.KrausSet((x,)))
-    verdict = monad.operational_equivalence(ident, flip, interp, term_trials=5, seed=7)
+    verdict = monad.operational_equivalence(ident, flip, interp)
     assert not verdict["equivalent"]
-    assert verdict["witness"] is not None
-    assert verdict["witness"]["residual"] > 1e-10
+    witness = verdict["witness"]
+    assert witness["term"] == op.unit_term()
+    assert witness["residual"] == verdict["max_residual"] > 1e-10
+    (e,) = witness["args"]
+    assert np.linalg.norm(e - x @ e @ x) == pytest.approx(witness["residual"], abs=1e-12)
 
 
 def test_stinespring_circuit_identity_trivial():
