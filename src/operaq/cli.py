@@ -32,17 +32,7 @@ LOG = logging.getLogger("operaq")
 COUNTS = frozenset({"trials", "d", "samples", "steps", "dim"})  # non-negative integers
 
 # commands that draw random samples; these refuse to run without --seed
-SEEDED = frozenset(
-    {
-        "operad-laws",
-        "monad-laws",
-        "algebra-laws",
-        "nadjoint",
-        "ideal-closure",
-        "nogo-broadcast",
-        "clone-match",
-    }
-)
+SEEDED = frozenset({"operad-laws", "monad-laws", "algebra-laws", "ideal-closure"})
 
 
 def _as_channel(obj, ctx: str) -> channels.QuantumChannel:
@@ -58,10 +48,16 @@ def _channel_of(op, ctx: str) -> channels.QuantumChannel:
 
 
 def _decode_dilation_like(obj, ctx: str) -> channels.MultilinearDilation:
+    """A dilation as given, or the Heisenberg-dual dilation of a channel,
+    Kraus set or one-slot operator map."""
     if isinstance(obj, dict) and "reps" in obj:
         return io.decode_multilinear_dilation(obj, ctx)
-    ch = _as_channel(obj, ctx)
-    return channels.heisenberg_dilation(channels.kraus_from_choi(ch))
+    op = io.decode_operation(obj, ctx)
+    if isinstance(op, channels.OperatorMultiMap) and op.arity >= 2:
+        raise SchemaError(
+            f"{ctx}: an operator map of {op.arity} slots is not dilated here; give its dilation"
+        )
+    return channels.heisenberg_dilation(channels.kraus_from_choi(_channel_of(op, ctx)))
 
 
 def _encode_witness(w) -> Optional[dict]:
@@ -163,9 +159,7 @@ def cmd_adjoint(objs, paths, tol, seed):
 def cmd_nadjoint(objs, paths, tol, seed):
     dil = _decode_dilation_like(objs[0], paths[0])
     adj = channels.n_adjoint(channels.dilation_multimap(dil))
-    res = channels.n_adjoint_pairing_residual(
-        channels.kraus_tensor_decompose(dil), adj, trials=int(tol["trials"]), seed=seed
-    )
+    res = channels.n_adjoint_pairing_residual(channels.kraus_tensor_decompose(dil), adj)
     result = {"adjoint": io.encode_multimap(adj), "pairing_residual": float(res)}
     return result, bool(res <= tol["residual"])
 
@@ -289,15 +283,13 @@ def cmd_quotient(objs, paths, tol, seed):
 
 
 def cmd_nogo_broadcast(objs, paths, tol, seed):
-    report = ideals.broadcast_witness(
-        int(tol["d"]), state_sample=int(tol["samples"]), seed=seed
-    )
+    report = ideals.broadcast_witness(int(tol["d"]), state_sample=int(tol["samples"]))
     return report, bool(report["min_residual"] > tol["positive"])
 
 
 def cmd_clone_match(objs, paths, tol, seed):
     interp, term = _interp_and_term(objs, paths)
-    report = ideals.clone_pattern_match(term, interp, trials=int(tol["trials"]), seed=seed)
+    report = ideals.clone_pattern_match(term, interp)
     return report, bool(report["matches"])
 
 
@@ -321,6 +313,8 @@ REGISTRY = {
     "minimal": CommandSpec(cmd_minimal, 1),
     "intertwine": CommandSpec(cmd_intertwine, 2, tolerances=(("residual", 1e-8),)),
     "adjoint": CommandSpec(cmd_adjoint, 1, tolerances=(("residual", 1e-12),)),
+    # nadjoint, homcheck, opequiv and clone-match are exact and ignore
+    # trials, which they still accept so that existing invocations keep running
     "nadjoint": CommandSpec(
         cmd_nadjoint, 1, tolerances=(("residual", 1e-8), ("trials", 20))
     ),
@@ -336,8 +330,6 @@ REGISTRY = {
     "algebra-laws": CommandSpec(
         cmd_algebra_laws, 1, tolerances=(("trials", 25), ("residual", 1e-10))
     ),
-    # homcheck and opequiv are exact and ignore trials, which they still
-    # accept so that existing invocations keep running
     "homcheck": CommandSpec(
         cmd_homcheck, 3, tolerances=(("trials", 50), ("residual", 1e-10))
     ),

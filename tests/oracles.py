@@ -161,6 +161,28 @@ def n_adjoint(decomp):
     return ch.OperatorMultiMap((m,) + dims[:-1], dims[-1], np.conj(action))
 
 
+def sampled_pairing_residual(decomp, adj, trials, seed) -> float:
+    """The pairing identity g(Phi(F..., X)) = <X, Y>_HS on random complex
+    data: Phi read off the Kraus-tensor factors and Y off the adjoint, with
+    the parameter slots conjugated as its Riesz convention asks."""
+    rng = np.random.default_rng(seed)
+    dims = decomp.input_operator_dims
+    m = decomp.t.shape[1]
+    worst = 0.0
+
+    def rnd(d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    for _ in range(trials):
+        g = rnd(m)
+        fs = [rnd(d) for d in dims[:-1]]
+        x = rnd(dims[-1])
+        direct = np.trace(linalg.dagger(g) @ decomposition_apply(decomp, fs + [x]))
+        y = ch.apply_ops(adj, [g] + [np.conj(f) for f in fs])
+        worst = max(worst, abs(direct - np.trace(linalg.dagger(y) @ x)))
+    return worst
+
+
 def contravariant_residual(psi, parts) -> float:
     """The adjoint-of-composite identity swept over basis tuples: LHS
     evaluates [Psi o (Phi_...)]^dag directly, RHS routes the functional
@@ -342,8 +364,9 @@ def max_frame_residual(mm) -> float:
 
 
 def clone_witness(mm, trials, seed):
-    """clone_pattern_match's witness one state at a time: the first frame or
-    sampled pure state whose clone residual exceeds 1e-8, or None."""
+    """The sampled cloning test one state at a time: the first frame state,
+    then the first of `trials` random pure states, whose clone residual
+    exceeds 1e-8, or None."""
     d = mm.input_operator_dims[0]
     rng = np.random.default_rng(seed)
     cases = [(f"frame[{k}]", p) for k, p in enumerate(ideals.broadcast_frame(d))]

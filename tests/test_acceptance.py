@@ -177,7 +177,7 @@ def test_06_separable_decomposition_pairing_and_zigzag():
         assert worst <= 1e-8
 
         adj = ch.n_adjoint(ch.dilation_multimap(dil))
-        assert ch.n_adjoint_pairing_residual(decomp, adj, trials=10, seed=i) <= 1e-8
+        assert ch.n_adjoint_pairing_residual(decomp, adj) <= 1e-12
 
         if isometric:
             z = ch.zigzag_check(dil)
@@ -290,7 +290,8 @@ def test_11_ideal_closure_1000_trials_and_inclusion_chain():
 
 
 def test_12_broadcast_witness_seed_stable_and_matches_oracle():
-    reports = [ideals.broadcast_witness(2, seed=s) for s in range(5)]
+    # the fit uses the frame alone, so the held-out sample cannot move it
+    reports = [ideals.broadcast_witness(2, state_sample=s) for s in range(5)]
     base = reports[0]["min_residual"]
     assert base > 1e-3
     for r in reports[1:]:

@@ -415,7 +415,7 @@ def test_n_adjoint_pairing_identity():
         dil = ch.minimal_dilation(sampling.random_separable_dilation(rng, (2, 2), 2, (2, 1)))
         decomp = ch.kraus_tensor_decompose(dil)
         adj = ch.n_adjoint(ch.dilation_multimap(dil))
-        assert ch.n_adjoint_pairing_residual(decomp, adj, trials=10, seed=7) < 1e-8
+        assert ch.n_adjoint_pairing_residual(decomp, adj) <= 1e-12
 
 
 def test_zigzag_check():
@@ -655,7 +655,32 @@ def test_n_adjoint_and_decomposition_match_the_kraus_index_oracles(data):
     assert np.allclose(
         ch.decomposition_apply(decomp, mats), oracles.decomposition_apply(decomp, mats), rtol=0, atol=1e-12
     )
-    assert ch.n_adjoint_pairing_residual(decomp, adj, trials=3, seed=0) < 1e-10
+    assert ch.n_adjoint_pairing_residual(decomp, adj) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pairing_residual_finds_every_violation_the_sampled_loop_finds(data):
+    """One adjoint entry moved by `size`: the exact residual reads the move
+    itself, and wherever the sampled pairing loop sees a violation the exact
+    residual sees one too."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dil = draw_dilation(data, rng)
+    decomp = ch.kraus_tensor_decompose(dil)
+    adj = ch.n_adjoint(ch.dilation_multimap(dil))
+    size = data.draw(st.sampled_from((0.0, 1e-6, 1e-3, 1.0)))
+    action = adj.action_matrix.copy()
+    row = data.draw(st.integers(0, action.shape[0] - 1))
+    col = data.draw(st.integers(0, action.shape[1] - 1))
+    action[row, col] += size * np.exp(2j * np.pi * rng.random())
+    moved = ch.OperatorMultiMap(adj.input_operator_dims, adj.output_operator_dim, action)
+    exact = ch.n_adjoint_pairing_residual(decomp, moved)
+    sampled = oracles.sampled_pairing_residual(decomp, moved, data.draw(st.integers(1, 5)), rng.integers(2**31))
+    assert exact == pytest.approx(size, rel=1e-3, abs=1e-12)
+    if sampled > 1e-8:
+        assert exact > 1e-8
+    if size >= 1e-3:
+        assert sampled > 1e-8
 
 
 def test_decomposition_apply_refuses_a_wrong_count_or_slot_shape():

@@ -196,16 +196,32 @@ def test_adjoint_command(tmp_path):
     assert adj.output_dim == 3
 
 
-def test_nadjoint_requires_seed_and_passes(tmp_path):
+def test_nadjoint_runs_without_a_seed_and_passes(tmp_path):
     rng = np.random.default_rng(19)
     phi = sampling.random_channel(rng, 2, 2)
     path = write(tmp_path, "phi.json", io.encode_channel(phi))
     code, rep = invoke(tmp_path, "--command", "nadjoint", "--in", path)
-    assert code == 2
-    assert "--seed" in rep["error"]
-    code, rep = invoke(tmp_path, "--command", "nadjoint", "--in", path, "--seed", "3")
     assert code == 0
-    assert rep["result"]["pairing_residual"] <= 1e-8
+    assert rep["result"]["pairing_residual"] <= 1e-12
+    code, seeded = invoke(tmp_path, "--command", "nadjoint", "--in", path, "--seed", "3", "--tol", "trials=1")
+    assert code == 0 and seeded["result"] == rep["result"]
+
+
+@pytest.mark.parametrize("command", ["minimal", "zigzag", "nadjoint"])
+def test_an_operator_map_of_two_slots_is_refused_where_a_dilation_is_wanted(tmp_path, command):
+    # a CP map M_2 x M_2 -> M_3; grouping its slots would dilate the
+    # Heisenberg dual of a channel on M_4, not the map
+    rng = np.random.default_rng(23)
+    ks = sampling.random_cptp(rng, 4, 3, 2)
+    bilinear = ch.channel_multimap(ch.choi_of(ks), (2, 2))
+    path = write(tmp_path, "phi.json", io.encode_multimap(bilinear))
+    code, rep = invoke(tmp_path, "--command", command, "--in", path)
+    assert code == 2 and "result" not in rep
+    assert "2 slots" in rep["error"] and "dilation" in rep["error"]
+    # one slot keeps the Heisenberg-dual path
+    one = write(tmp_path, "one.json", io.encode_multimap(ch.channel_multimap(ch.choi_of(ks))))
+    code, rep = invoke(tmp_path, "--command", command, "--in", one)
+    assert code == 0
 
 
 def test_zigzag_command(tmp_path):
@@ -419,6 +435,42 @@ def test_opequiv_and_homcheck_results_are_the_same_for_every_seed_and_for_none(t
         assert rep["result"] == {"max_residual": 0.0, "passed": True, "tol": 1e-10, "witness": None}
 
 
+def _unseeded_cases():
+    """Inputs for each command: the schema fuzzer's fixtures where it has
+    one, small artifacts for the rest of the commands outside cli.SEEDED."""
+    cases = {command: (extra, inputs) for command, extra, inputs, _ in FUZZ_FIXTURES}
+    term = {"op": "pair", "args": [{"slot": 0}]}
+    cases.update({
+        "choi": ([], [_choi_obj()]),
+        "kraus": ([], [_choi_obj()]),
+        "dilate": ([], [_choi_obj()]),
+        "minimal": ([], [_dilation_obj()]),
+        "intertwine": ([], [_dilation_obj(), _dilation_obj()]),
+        "nadjoint": ([], [_dilation_obj()]),
+        "homcheck": ([], [io.encode_multimap(ch.identity_multimap(2)), qubit_interp_obj(), qubit_interp_obj()]),
+        "opequiv": ([], [_choi_obj(), io.encode_channel(ch.depolarizing_channel(2, 0.5)), qubit_interp_obj()]),
+        "circuit-realize": ([], [_choi_obj()]),
+        "quotient": ([], [qubit_interp_obj(), _ideal_obj(), {"op": "dep", "args": [{"slot": 0}]}]),
+        "nogo-broadcast": ([], []),
+        "clone-match": ([], [pair_interp_obj(), term]),
+    })
+    return cases
+
+
+@pytest.mark.parametrize("command", sorted(set(cli.REGISTRY) - cli.SEEDED))
+def test_commands_outside_seeded_give_one_result_for_every_seed_and_for_none(tmp_path, command):
+    extra, inputs = _unseeded_cases()[command]
+    argv = ["--command", command, *extra]
+    for i, obj in enumerate(inputs):
+        argv += ["--in", write(tmp_path, f"in{i}.json", obj)]
+    runs = [invoke(tmp_path, *argv, *seed) for seed in ([], ["--seed", "0"], ["--seed", "1"])]
+    for code, rep in runs:
+        assert code == runs[0][0]
+        assert rep.get("result") == runs[0][1].get("result")
+        assert rep.get("error") == runs[0][1].get("error")
+    assert runs[0][0] in (0, 1), runs[0][1].get("error")
+
+
 @pytest.mark.parametrize("artifact", [
     {"in_dim": 0, "out_dim": 2, "repr": "choi", "data": {"rows": 0, "cols": 0, "data": []}},
     {"input_dims": [0, 2], "output_dim": 2, "action": {"rows": 4, "cols": 0, "data": []}},
@@ -518,7 +570,8 @@ def test_clone_match_verdicts(tmp_path):
     assert code == 2  # wrong signature is an input error, not a verdict
 
 
-def test_clone_match_pair_candidate(tmp_path):
+def pair_interp_obj():
+    """One symbol of cloning signature (2; 4), x -> x (x) |0><0|."""
     spec = operad.OperadSpec((operad.OperadSymbol("pair", 1, ((2,), 4)),))
     prep = np.zeros((2, 2), dtype=complex)
     prep[0, 0] = 1.0
@@ -526,7 +579,11 @@ def test_clone_match_pair_candidate(tmp_path):
         spec,
         {"pair": ch.multimap_from_function(lambda x: np.kron(x, prep), (2,), 4)},
     )
-    ipath = write(tmp_path, "interp.json", io.encode_interpretation(interp))
+    return io.encode_interpretation(interp)
+
+
+def test_clone_match_pair_candidate(tmp_path):
+    ipath = write(tmp_path, "interp.json", pair_interp_obj())
     term = write(tmp_path, "term.json", {"op": "pair", "args": [{"slot": 0}]})
     code, rep = invoke(
         tmp_path, "--command", "clone-match", "--in", ipath, "--in", term, "--seed", "0"
