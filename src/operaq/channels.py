@@ -10,6 +10,12 @@ choi_of groups a map's slots into one input space, and channel_multimap
 splits the input space back into slots of given dimensions.  Both are one
 reshape and one axis transpose; a slot permutation is one too.
 
+There is one dilation type, MultilinearDilation: Phi(a_1, ..., a_n) =
+V^dag pi_1(a_1) ... pi_n(a_n) V with commuting representations, and one
+builder, heisenberg_dilation.  It dilates a CP operator map of any arity as
+itself, and a channel or Kraus set as its Heisenberg dual; a map's value is
+apply_ops of dilation_multimap.
+
 Every map here is built in closed form, as a reshape, a contraction or a
 Kraus sum.  multimap_from_function is the entry point for a map given as a
 callable; it sweeps matrix-unit tuples.
@@ -312,43 +318,6 @@ def kraus_rank(ch: QuantumChannel) -> int:
 
 
 @dataclass(frozen=True)
-class ChannelDilation:
-    """State-picture dilation rho -> Tr_env(V rho V^dag) with V mapping the
-    input space into output (x) environment."""
-
-    env_dim: int
-    isometry: np.ndarray
-
-    def __post_init__(self):
-        v = linalg.as_matrix(self.isometry)
-        if v.shape[0] % self.env_dim:
-            raise DimensionMismatchError("isometry rows are not a multiple of env_dim")
-        object.__setattr__(self, "isometry", v)
-
-    @property
-    def in_dim(self) -> int:
-        return self.isometry.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.isometry.shape[0] // self.env_dim
-
-
-def stinespring_from_kraus(ks: KrausSet) -> ChannelDilation:
-    r = len(ks.operators)
-    v = sum(
-        linalg.kron(k, linalg.basis_vector(r, a).reshape(r, 1)) for a, k in enumerate(ks.operators)
-    )
-    return ChannelDilation(r, v)
-
-
-def channel_from_dilation(cd: ChannelDilation) -> QuantumChannel:
-    # Kraus operators K_e = (I (x) <e|) V
-    v = cd.isometry.reshape(cd.out_dim, cd.env_dim, cd.in_dim)
-    return choi_of(KrausSet(tuple(v[:, e, :] for e in range(cd.env_dim))))
-
-
-@dataclass(frozen=True)
 class StarRepresentation:
     """Unital *-representation of M_d on a carrier space, tabulated on
     matrix units: images has shape (d, d, carrier, carrier)."""
@@ -365,20 +334,24 @@ class StarRepresentation:
         object.__setattr__(self, "images", im)
 
 
-def rep_apply(rep: StarRepresentation, a) -> np.ndarray:
-    a = linalg.as_matrix(a)
-    if a.shape != (rep.algebra_dim,) * 2:
-        raise DimensionMismatchError("element does not match the represented algebra")
-    return np.einsum("kl,klxy->xy", a, rep.images)
-
-
-def factor_representation(d: int, multiplicity: int, left_dim: int = 1, right_dim: int = 1) -> StarRepresentation:
+def factor_representation(d: int, multiplicity: int, left_dim: int, right_dim: int) -> StarRepresentation:
     """a -> I_left (x) (a (x) I_mult) (x) I_right on the full carrier."""
     carrier = left_dim * d * multiplicity * right_dim
     # units[k, l] = E_kl, and kron on 4-d arrays acts on the trailing axes
     units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
     images = np.kron(np.kron(np.eye(left_dim, dtype=complex), units), np.eye(multiplicity * right_dim))
     return StarRepresentation(d, carrier, images)
+
+
+def _factor_reps(dims, multiplicities):
+    """pi_j(a) = a (x) I_{r_j} on factor j of the carrier (d_1 r_1) (x) ...
+    (x) (d_n r_n); returns the representations and the factor dims."""
+    factors = tuple(d * r for d, r in zip(dims, multiplicities))
+    reps = tuple(
+        factor_representation(d, r, int(np.prod(factors[:j])), int(np.prod(factors[j + 1 :])))
+        for j, (d, r) in enumerate(zip(dims, multiplicities))
+    )
+    return reps, factors
 
 
 @dataclass(frozen=True)
@@ -420,16 +393,6 @@ class MultilinearDilation:
         return tuple(rep.algebra_dim for rep in self.reps)
 
 
-def dilation_reconstruct(dil: MultilinearDilation, inputs) -> np.ndarray:
-    inputs = list(inputs)
-    if len(inputs) != len(dil.reps):
-        raise DimensionMismatchError("one input per representation required")
-    acc = dil.isometry
-    for rep, a in zip(reversed(dil.reps), reversed(inputs)):
-        acc = rep_apply(rep, a) @ acc
-    return linalg.dagger(dil.isometry) @ acc
-
-
 def _unit_chain(reps, start: np.ndarray) -> np.ndarray:
     """pi_1(E_1) ... pi_n(E_n) @ start for every matrix-unit tuple, shape
     (d_1^2, ..., d_n^2, carrier, cols); axis j runs over the vec index
@@ -450,13 +413,33 @@ def dilation_multimap(dil: MultilinearDilation) -> OperatorMultiMap:
     return OperatorMultiMap(dil.algebra_dims, m, action)
 
 
-def heisenberg_dilation(ks: KrausSet) -> MultilinearDilation:
-    """Observable-picture dilation of a -> sum K^dag a K built on the same
-    isometry as the state-picture Stinespring construction."""
-    r = len(ks.operators)
-    v = stinespring_from_kraus(ks).isometry
-    rep = factor_representation(ks.out_dim, r)
-    return MultilinearDilation((rep,), v, (ks.out_dim * r,))
+def stinespring_isometry(ks: KrausSet) -> np.ndarray:
+    """V = sum_k K_k (x) e_k, rows (output, environment): each environment
+    level of V is one Kraus operator."""
+    return np.stack(ks.operators, axis=1).reshape(-1, ks.in_dim)
+
+
+def heisenberg_dilation(op) -> MultilinearDilation:
+    """The Stinespring dilation V^dag pi_1(a_1) ... pi_n(a_n) V of a CP map.
+
+    An operator map M_{d_1} x ... x M_{d_n} -> M_m is dilated as itself.
+    The Kraus operators L_k of its grouped Choi matrix give Phi(a_1, ...,
+    a_n) = sum_k L_k (a_1 (x) ... (x) a_n) L_k^dag, so V is built from the
+    K_k = L_k^dag and maps C^m into C^{d_1} (x) ... (x) C^{d_n} (x) C^r,
+    with pi_j acting on factor j.  A channel or Kraus set is dilated as its
+    Heisenberg dual a -> sum_k K_k^dag a K_k, on one factor M_out (x) C^r.
+    A map that is not CP has no dilation: NotCompletelyPositiveError.
+    """
+    if isinstance(op, OperatorMultiMap):
+        dims = op.input_operator_dims
+        ks = KrausSet(tuple(linalg.dagger(l) for l in kraus_from_choi(choi_of(op)).operators))
+    else:
+        ks = op if isinstance(op, KrausSet) else kraus_from_choi(op)
+        dims = (ks.out_dim,)
+    n, r = len(dims), len(ks.operators)
+    reps, factors = _factor_reps(dims, (1,) * (n - 1) + (r,))
+    # a map of no slots is the constant V^dag V, on a carrier of r levels
+    return MultilinearDilation(reps, stinespring_isometry(ks), factors if n else (r,))
 
 
 def pad_dilation(dil: MultilinearDilation, extra_dim: int) -> MultilinearDilation:
@@ -566,18 +549,6 @@ def kraus_tensor_decompose(dil: MultilinearDilation) -> KrausTensorDecomposition
     return KrausTensorDecomposition(t.transpose(2, 1, 0), l.transpose(1, 2, 0), dil.algebra_dims)
 
 
-def decomposition_apply(decomp: KrausTensorDecomposition, mats) -> np.ndarray:
-    mats = [linalg.as_matrix(x) for x in mats]
-    dims = decomp.input_operator_dims
-    if len(mats) != len(dims):
-        raise DimensionMismatchError("wrong number of inputs for the decomposition")
-    for x, d in zip(mats, dims):
-        if x.shape != (d, d):
-            raise DimensionMismatchError(f"input shape {x.shape} does not match slot dim {d}")
-    lead = linalg.kron_vectors([linalg.vec(x) for x in mats[:-1]])
-    return np.einsum("za,zb->ab", decomp.t @ lead, decomp.l @ linalg.vec(mats[-1]))
-
-
 def n_adjoint(mm: OperatorMultiMap) -> OperatorMultiMap:
     """The dagger adjoint of the map on vectorized slots.  tr(A^dag B) is
     the pairing of vec A and vec B, so it takes (G, F_1, ..., F_{n-1}) to
@@ -585,6 +556,8 @@ def n_adjoint(mm: OperatorMultiMap) -> OperatorMultiMap:
     parameter slots enter conjugated, so apply it to (G, conj F_1, ...).
     """
     dims = mm.input_operator_dims
+    if not dims:
+        raise DimensionMismatchError("the n-adjoint needs a map of at least one operator slot")
     m = mm.output_operator_dim
     vector_map = ml.MultilinearVectorMap(tuple(d * d for d in dims), m * m, mm.action_matrix)
     return OperatorMultiMap((m,) + dims[:-1], dims[-1], ml.adjoint(vector_map).matrix)

@@ -48,16 +48,15 @@ def _channel_of(op, ctx: str) -> channels.QuantumChannel:
 
 
 def _decode_dilation_like(obj, ctx: str) -> channels.MultilinearDilation:
-    """A dilation as given, or the Heisenberg-dual dilation of a channel,
-    Kraus set or one-slot operator map."""
+    """A dilation as given, or the Stinespring dilation of an operation: an
+    operator map of any arity as itself, a channel or Kraus set as its
+    Heisenberg dual."""
     if isinstance(obj, dict) and "reps" in obj:
         return io.decode_multilinear_dilation(obj, ctx)
     op = io.decode_operation(obj, ctx)
-    if isinstance(op, channels.OperatorMultiMap) and op.arity >= 2:
-        raise SchemaError(
-            f"{ctx}: an operator map of {op.arity} slots is not dilated here; give its dilation"
-        )
-    return channels.heisenberg_dilation(channels.kraus_from_choi(_channel_of(op, ctx)))
+    if isinstance(op, multilinear.MultilinearVectorMap):
+        raise SchemaError(f"{ctx}: expected a channel, Kraus set, or operator map")
+    return channels.heisenberg_dilation(op)
 
 
 def _encode_witness(w) -> Optional[dict]:
@@ -115,12 +114,14 @@ def cmd_kraus(objs, paths, tol, seed):
 
 def cmd_dilate(objs, paths, tol, seed):
     ch = _as_channel(objs[0], paths[0])
-    cd = channels.stinespring_from_kraus(channels.kraus_from_choi(ch))
-    rec = channels.channel_from_dilation(cd)
+    v = channels.stinespring_isometry(channels.kraus_from_choi(ch))
+    env = v.shape[0] // ch.out_dim
+    # rows of V are (output, environment); each environment level is a Kraus operator
+    rec = channels.choi_of(channels.KrausSet(tuple(np.swapaxes(v.reshape(ch.out_dim, env, -1), 0, 1))))
     err = float(linalg.frobenius(rec.choi - ch.choi))
     result = {
-        "dilation": io.encode_dilation(cd),
-        "env_dim": int(cd.env_dim),
+        "dilation": {"env_dim": env, "isometry": io.encode_matrix(v)},
+        "env_dim": env,
         "reconstruction_error": err,
     }
     return result, bool(err <= tol["residual"])

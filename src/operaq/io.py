@@ -212,10 +212,6 @@ def decode_operation(obj, ctx: str = "operation"):
 # dilations
 
 
-def encode_dilation(cd: channels.ChannelDilation) -> dict:
-    return {"env_dim": int(cd.env_dim), "isometry": encode_matrix(cd.isometry)}
-
-
 def encode_representation(rep: channels.StarRepresentation) -> dict:
     return {
         "algebra_dim": int(rep.algebra_dim),

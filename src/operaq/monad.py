@@ -396,10 +396,9 @@ def stinespring_circuit(phi: channels.QuantumChannel):
         anc += 1
     big = n * anc
     env = big // m
-    v_pad = np.zeros((big, n), dtype=complex)
-    for a in range(m):
-        for alpha in range(r):
-            v_pad[a * env + alpha, :] = ks.operators[alpha][a, :]
+    # the dilation isometry, its environment padded from r to env levels
+    v = channels.stinespring_isometry(ks).reshape(m, r, n)
+    v_pad = np.pad(v, ((0, 0), (0, env - r), (0, 0))).reshape(big, n)
     # complete the isometry columns to a unitary: the input state sits on
     # ancilla level 0, so column i*anc carries V e_i, and the trailing left
     # singular vectors of V span the complement of its range

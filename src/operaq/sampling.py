@@ -73,15 +73,8 @@ def random_separable_dilation(
     source."""
     dims = tuple(int(d) for d in algebra_dims)
     mult = tuple(multiplicities) if multiplicities else tuple(1 for _ in dims)
-    factors = tuple(d * r for d, r in zip(dims, mult))
+    reps, factors = channels._factor_reps(dims, mult)
     carrier = int(np.prod(factors))
     if carrier < source_dim:
         raise DimensionMismatchError("carrier smaller than the source space")
-    reps = []
-    for j, (d, r) in enumerate(zip(dims, mult)):
-        left = int(np.prod(factors[:j])) if j else 1
-        right = int(np.prod(factors[j + 1 :])) if j + 1 < len(factors) else 1
-        reps.append(channels.factor_representation(d, r, left, right))
-    return channels.MultilinearDilation(
-        tuple(reps), random_isometry(rng, carrier, source_dim), factors
-    )
+    return channels.MultilinearDilation(reps, random_isometry(rng, carrier, source_dim), factors)

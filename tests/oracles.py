@@ -139,6 +139,39 @@ def pad_dilation(dil, extra_dim):
     return ch.MultilinearDilation(tuple(reps), v, None)
 
 
+def kron_sum_isometry(ks):
+    """The Stinespring isometry V = sum_k K_k (x) e_k as a sum of Kronecker
+    products."""
+    r = len(ks.operators)
+    return sum(linalg.kron(k, linalg.basis_vector(r, a).reshape(r, 1)) for a, k in enumerate(ks.operators))
+
+
+def isometry_channel(v, env_dim):
+    """The channel rho -> Tr_env(V rho V^dag) of an isometry with rows
+    (output, environment), by the partial trace of V E_ij V^dag swept over
+    matrix units."""
+    d = v.shape[1]
+    out = v.shape[0] // env_dim
+
+    def act(rho):
+        return linalg.partial_trace(v @ rho @ linalg.dagger(v), (out, env_dim), 1)
+
+    return ch.choi_of(ch.multimap_from_function(act, (d,), out))
+
+
+def rep_apply(rep, a):
+    """pi(a) = sum_kl a_kl pi(E_kl) on the tabulated images."""
+    return np.einsum("kl,klxy->xy", linalg.as_matrix(a), rep.images)
+
+
+def dilation_reconstruct(dil, inputs):
+    """V^dag pi_1(a_1) ... pi_n(a_n) V, one representation at a time."""
+    acc = dil.isometry
+    for rep, a in zip(reversed(dil.reps), reversed(list(inputs))):
+        acc = rep_apply(rep, a) @ acc
+    return linalg.dagger(dil.isometry) @ acc
+
+
 def decomposition_apply(decomp, mats):
     """Phi(x_1..x_n) as the sum over alpha of outer(T_alpha(lead), L_alpha(tail)),
     one Kraus-tensor index at a time."""

@@ -14,7 +14,7 @@ from operaq import ideals, linalg, monad, multilinear as ml, operad as op
 from operaq import sampling
 from operaq.errors import IllPosedFeedbackError
 
-from oracles import matrix_units
+from oracles import decomposition_apply, isometry_channel, matrix_units
 
 # least-squares residual of the dimension-two broadcast frame system,
 # recomputed independently from the pinv normal equations before the
@@ -131,8 +131,12 @@ def test_04_choi_kraus_dilation_roundtrip_100_channels():
         dout = int(rng.integers(2, 5))
         phi = sampling.random_channel(rng, din, dout)
         ks = ch.kraus_from_choi(phi)
-        back = ch.channel_from_dilation(ch.stinespring_from_kraus(ks))
+        back = isometry_channel(ch.stinespring_isometry(ks), len(ks.operators))
         worst = max(worst, float(np.max(np.abs(back.choi - phi.choi))))
+        # the builder's dilation is the Heisenberg dual's, S^dag on vec
+        dual = ch.dilation_multimap(ch.heisenberg_dilation(phi)).action_matrix
+        superop = ch.channel_multimap(phi).action_matrix
+        worst = max(worst, float(np.max(np.abs(dual - linalg.dagger(superop)))))
     elapsed = time.monotonic() - t0
     assert worst <= 1e-9
     assert elapsed < 10.0
@@ -168,11 +172,12 @@ def test_06_separable_decomposition_pairing_and_zigzag():
                 dil.reps, dil.isometry * (0.5 + rng.random()), dil.factor_dims
             )
         decomp = ch.kraus_tensor_decompose(dil)
+        mm = ch.dilation_multimap(dil)
         worst = 0.0
         for _, _, e1 in matrix_units(2):
             for _, _, e2 in matrix_units(2):
-                direct = ch.dilation_reconstruct(dil, [e1, e2])
-                via = ch.decomposition_apply(decomp, [e1, e2])
+                direct = ch.apply_ops(mm, [e1, e2])
+                via = decomposition_apply(decomp, [e1, e2])
                 worst = max(worst, float(np.max(np.abs(via - direct))))
         assert worst <= 1e-8
 

@@ -169,15 +169,18 @@ def test_kraus_roundtrip_and_rank():
 def test_stinespring_reconstruction():
     rng = np.random.default_rng(3)
     q = sampling.random_channel(rng, 3, 2, 3)
-    dil = ch.stinespring_from_kraus(ch.kraus_from_choi(q))
-    v = dil.isometry
+    ks = ch.kraus_from_choi(q)
+    v = ch.stinespring_isometry(ks)
     assert linalg.op_norm(linalg.dagger(v) @ v - np.eye(3)) < 1e-9
-    assert ch.channel_distance_bound(ch.channel_from_dilation(dil), q) < 1e-9
+    assert ch.channel_distance_bound(oracles.isometry_channel(v, len(ks.operators)), q) < 1e-9
+    # the builder dilates the Heisenberg dual of the channel on that isometry
+    assert np.array_equal(ch.heisenberg_dilation(q).isometry, v)
 
 
 def test_stinespring_identity_is_trivial_embedding():
-    dil = ch.stinespring_from_kraus(ch.KrausSet((np.eye(2, dtype=complex),)))
-    assert dil.env_dim == 1
+    dil = ch.heisenberg_dilation(ch.KrausSet((np.eye(2, dtype=complex),)))
+    # one Kraus operator: an environment of one level
+    assert dil.carrier_dim == 2 and dil.factor_dims == (2,)
     assert np.allclose(dil.isometry, np.eye(2), atol=1e-12)
 
 
@@ -286,18 +289,18 @@ def test_factor_representation_is_star_homomorphism():
 def test_dilation_reconstruct_identity_inputs():
     rng = np.random.default_rng(9)
     dil = sampling.random_separable_dilation(rng, (2, 2), 3, (2, 1))
-    got = ch.dilation_reconstruct(dil, [np.eye(2), np.eye(2)])
+    got = ch.apply_ops(ch.dilation_multimap(dil), [np.eye(2), np.eye(2)])
     assert np.allclose(got, np.eye(3), atol=1e-10)
 
 
 def test_heisenberg_dilation_matches_kraus_adjoint():
     rng = np.random.default_rng(10)
     ks = sampling.random_cptp(rng, 3, 2, 2)
-    dil = ch.heisenberg_dilation(ks)
+    mm = ch.dilation_multimap(ch.heisenberg_dilation(ks))
     for _ in range(5):
         a = sampling.random_hermitian(rng, 2)
         expected = sum(linalg.dagger(k) @ a @ k for k in ks.operators)
-        assert np.allclose(ch.dilation_reconstruct(dil, [a]), expected, atol=1e-11)
+        assert np.allclose(ch.apply_ops(mm, [a]), expected, atol=1e-11)
 
 
 def test_minimal_dilation_keeps_minimal_dimension():
@@ -399,7 +402,7 @@ def test_kraus_tensor_decompose_reconstructs():
     for _ in range(5):
         mats = [sampling.ginibre(rng, 2, 2), sampling.ginibre(rng, 2, 2)]
         direct = ch.apply_ops(mm, mats)
-        assert np.max(np.abs(ch.decomposition_apply(decomp, mats) - direct)) < 1e-8
+        assert np.max(np.abs(oracles.decomposition_apply(decomp, mats) - direct)) < 1e-8
 
 
 def test_n_adjoint_of_identity_channel():
@@ -605,7 +608,7 @@ def test_dilation_closed_forms_match_callable_sweeps(data):
     dims, m, c = dil.algebra_dims, dil.source_dim, dil.carrier_dim
     vh = linalg.dagger(dil.isometry)
 
-    sweep = ch.multimap_from_function(lambda *mats: ch.dilation_reconstruct(dil, mats), dims, m)
+    sweep = ch.multimap_from_function(lambda *mats: oracles.dilation_reconstruct(dil, mats), dims, m)
     assert np.allclose(ch.dilation_multimap(dil).action_matrix, sweep.action_matrix, rtol=0, atol=1e-10)
 
     decomp = ch.kraus_tensor_decompose(dil)
@@ -616,11 +619,11 @@ def test_dilation_closed_forms_match_callable_sweeps(data):
         def t_fn(*vecs):
             acc = e_a
             for rep, v in zip(reversed(dil.reps[:-1]), reversed(vecs)):
-                acc = ch.rep_apply(rep, linalg.unvec(v, rep.algebra_dim)) @ acc
+                acc = oracles.rep_apply(rep, linalg.unvec(v, rep.algebra_dim)) @ acc
             return vh @ acc
 
         def l_fn(v):
-            return e_a @ ch.rep_apply(dil.reps[-1], linalg.unvec(v, dims[-1])) @ dil.isometry
+            return e_a @ oracles.rep_apply(dil.reps[-1], linalg.unvec(v, dims[-1])) @ dil.isometry
 
         t_old = ml.from_function(t_fn, tuple(d * d for d in dims[:-1]), m)
         l_old = ml.from_function(l_fn, (dims[-1] ** 2,), m)
@@ -653,7 +656,7 @@ def test_n_adjoint_and_decomposition_match_the_kraus_index_oracles(data):
     assert np.allclose(adj.action_matrix, old.action_matrix, rtol=0, atol=1e-12)
     mats = [sampling.ginibre(rng, d, d) for d in dil.algebra_dims]
     assert np.allclose(
-        ch.decomposition_apply(decomp, mats), oracles.decomposition_apply(decomp, mats), rtol=0, atol=1e-12
+        ch.apply_ops(ch.dilation_multimap(dil), mats), oracles.decomposition_apply(decomp, mats), rtol=0, atol=1e-12
     )
     assert ch.n_adjoint_pairing_residual(decomp, adj) <= 1e-12
 
@@ -683,17 +686,6 @@ def test_pairing_residual_finds_every_violation_the_sampled_loop_finds(data):
         assert sampled > 1e-8
 
 
-def test_decomposition_apply_refuses_a_wrong_count_or_slot_shape():
-    rng = np.random.default_rng(25)
-    decomp = ch.kraus_tensor_decompose(sampling.random_separable_dilation(rng, (2, 3), 2))
-    with pytest.raises(DimensionMismatchError):
-        ch.decomposition_apply(decomp, [np.eye(2)])
-    with pytest.raises(DimensionMismatchError):
-        ch.decomposition_apply(decomp, [np.eye(2), np.eye(2)])
-    with pytest.raises(DimensionMismatchError):
-        ch.decomposition_apply(decomp, [np.eye(2), np.ones((1, 9))])
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_intertwining_residual_equals_the_unit_loop(data):
@@ -719,7 +711,7 @@ def test_minimal_carrier_is_generator_rank(data):
     for multi in np.ndindex(*sq):
         acc = padded.isometry
         for rep, unit in reversed(list(zip(padded.reps, unit_matrices(padded.algebra_dims, multi)))):
-            acc = ch.rep_apply(rep, unit) @ acc
+            acc = oracles.rep_apply(rep, unit) @ acc
         cols.extend(acc.T)
     gens = np.column_stack(cols)
     assert np.allclose(ch._generator_matrix(padded), gens, rtol=0, atol=1e-10)
@@ -765,14 +757,13 @@ def test_one_slot_closed_forms_match_callable_sweeps(data):
     assert np.allclose(ch.transpose_multimap(d).action_matrix, old_t.action_matrix, rtol=0, atol=1e-10)
 
     out = data.draw(st.integers(1, 3))
-    cd = ch.stinespring_from_kraus(sampling.random_cptp(rng, d, out, data.draw(st.integers(1, 3))))
-
-    def act(rho):
-        v = cd.isometry
-        return linalg.partial_trace(v @ rho @ linalg.dagger(v), (cd.out_dim, cd.env_dim), 1)
-
-    old_ch = ch.choi_of(ch.multimap_from_function(act, (d,), out))
-    assert np.allclose(ch.channel_from_dilation(cd).choi, old_ch.choi, rtol=0, atol=1e-10)
+    ks = sampling.random_cptp(rng, d, out, data.draw(st.integers(1, 3)))
+    v = ch.stinespring_isometry(ks)
+    old_ch = oracles.isometry_channel(v, len(ks.operators))
+    assert np.allclose(ch.choi_of(ks).choi, old_ch.choi, rtol=0, atol=1e-10)
+    dual = ch.multimap_from_function(lambda a: sum(linalg.dagger(k) @ a @ k for k in ks.operators), (out,), d)
+    dil = ch.heisenberg_dilation(ks)
+    assert np.allclose(ch.dilation_multimap(dil).action_matrix, dual.action_matrix, rtol=0, atol=1e-10)
 
 
 def test_closed_forms_sweep_no_callable(monkeypatch):
@@ -790,7 +781,8 @@ def test_closed_forms_sweep_no_callable(monkeypatch):
     assert ch.intertwiner(small, dil)[1]["isometry_defect"] < 1e-8
     assert ch.choi_of(ch.dilation_multimap(dil)).choi.shape == (24, 24)
     ks = sampling.random_cptp(rng, 2, 3, 2)
-    assert ch.channel_from_dilation(ch.stinespring_from_kraus(ks)).out_dim == 3
+    assert ch.heisenberg_dilation(ks).algebra_dims == (3,)
+    assert ch.heisenberg_dilation(ch.dilation_multimap(dil)).algebra_dims == (2, 2, 2)
     assert ch.transpose_multimap(3).input_operator_dims == (3,)
     assert ch.is_tp(ch.depolarizing_channel(3, 0.4))
     assert ideals._ptrace_superops(2)[0].shape == (4, 16)
@@ -821,3 +813,35 @@ def test_pad_dilation_equals_the_unit_loop_bitwise(data):
     for a, b in zip(got.reps, want.reps):
         assert (a.algebra_dim, a.carrier_dim) == (b.algebra_dim, b.carrier_dim)
         assert np.array_equal(a.images, b.images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_cp_map_is_rebuilt_from_its_dilation(data):
+    """Stinespring's theorem on operator maps of arity 1-3: a CP map is
+    dilated as itself on a minimal carrier of prod_j d_j * rank levels, and
+    a channel or Kraus set keeps the old kron-sum construction of its
+    Heisenberg dual."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    dims = tuple(data.draw(st.integers(1, 3)) for _ in range(data.draw(st.integers(1, 3))))
+    m, r = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    din = int(np.prod(dims))
+    # scaled so that the Choi matrix has unit trace and 1e-12 is tight
+    gs = [sampling.ginibre(rng, m, din) for _ in range(r)]
+    norm = np.sqrt(sum(np.vdot(g, g).real for g in gs))
+    ks = ch.KrausSet(tuple(g / norm for g in gs))
+    mm = ch.channel_multimap(ch.choi_of(ks), dims)
+    dil = ch.heisenberg_dilation(mm)
+    assert (dil.algebra_dims, dil.source_dim) == (dims, m)
+    assert np.allclose(ch.dilation_multimap(dil).action_matrix, mm.action_matrix, rtol=0, atol=1e-12)
+    gram = linalg.dagger(dil.isometry) @ dil.isometry
+    assert np.allclose(gram, ch.apply_ops(mm, [np.eye(d) for d in dims]), rtol=0, atol=1e-12)
+    rank = ch.kraus_rank(ch.choi_of(mm))
+    assert dil.carrier_dim == ch.minimal_dilation(dil).carrier_dim == din * rank
+
+    for source in (ks, ch.choi_of(ks)):
+        dual = ch.heisenberg_dilation(source)
+        old = source if isinstance(source, ch.KrausSet) else ch.kraus_from_choi(source)
+        assert np.array_equal(dual.isometry, oracles.kron_sum_isometry(old))
+        (rep,) = dual.reps
+        assert np.array_equal(rep.images, oracles.factor_representation(m, len(old.operators)).images)

@@ -208,20 +208,86 @@ def test_nadjoint_runs_without_a_seed_and_passes(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["minimal", "zigzag", "nadjoint"])
-def test_an_operator_map_of_two_slots_is_refused_where_a_dilation_is_wanted(tmp_path, command):
-    # a CP map M_2 x M_2 -> M_3; grouping its slots would dilate the
-    # Heisenberg dual of a channel on M_4, not the map
+def test_an_operator_map_of_two_slots_is_dilated_as_itself(tmp_path, command):
+    # a CP map M_2 x M_2 -> M_3 of Kraus rank 2, dilated on C^2 (x) C^2 (x) C^2
     rng = np.random.default_rng(23)
     ks = sampling.random_cptp(rng, 4, 3, 2)
     bilinear = ch.channel_multimap(ch.choi_of(ks), (2, 2))
     path = write(tmp_path, "phi.json", io.encode_multimap(bilinear))
     code, rep = invoke(tmp_path, "--command", command, "--in", path)
-    assert code == 2 and "result" not in rep
-    assert "2 slots" in rep["error"] and "dilation" in rep["error"]
-    # one slot keeps the Heisenberg-dual path
-    one = write(tmp_path, "one.json", io.encode_multimap(ch.channel_multimap(ch.choi_of(ks))))
-    code, rep = invoke(tmp_path, "--command", command, "--in", one)
+    result = rep["result"]
+    if command == "minimal":
+        assert code == 0
+        assert result["carrier_dim"] == result["original_carrier_dim"] == 4 * 2
+        back = ch.dilation_multimap(io.decode_multilinear_dilation(result["dilation"]))
+        assert np.allclose(back.action_matrix, bilinear.action_matrix, rtol=0, atol=1e-12)
+    elif command == "nadjoint":
+        assert code == 0
+        assert result["adjoint"]["input_dims"] == [3, 2] and result["adjoint"]["output_dim"] == 2
+        assert result["pairing_residual"] <= 1e-12
+    else:
+        # V^dag V = Phi(I, I): isometric reads unitality, and this map is not unital
+        unitality = linalg.op_norm(ch.apply_ops(bilinear, [np.eye(2), np.eye(2)]) - np.eye(3))
+        assert code == 1 and result["isometric"] is False
+        assert result["isometry_defect"] == pytest.approx(unitality, rel=1e-9)
+        # (a, b) -> tr(a) tr(b) I / 4 is unital
+        unital = ch.multimap_from_function(lambda a, b: np.trace(a) * np.trace(b) * np.eye(3) / 4, (2, 2), 3)
+        path = write(tmp_path, "unital.json", io.encode_multimap(unital))
+        code, rep = invoke(tmp_path, "--command", command, "--in", path)
+        assert code == 0 and rep["result"]["isometric"] is True
+
+
+def test_a_one_slot_operator_map_is_dilated_as_itself_and_a_channel_as_its_dual(tmp_path):
+    # amplitude damping is trace preserving, not unital, so it is not self-dual
+    g = 0.3
+    damping = ch.KrausSet((np.diag([1.0, np.sqrt(1 - g)]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]])))
+    as_map = ch.channel_multimap(ch.choi_of(damping))
+    map_path = write(tmp_path, "map.json", io.encode_multimap(as_map))
+    channel_path = write(tmp_path, "channel.json", io.encode_channel(ch.choi_of(damping), "kraus", damping))
+    code, rep = invoke(tmp_path, "--command", "minimal", "--in", map_path)
     assert code == 0
+    back = ch.dilation_multimap(io.decode_multilinear_dilation(rep["result"]["dilation"]))
+    assert np.allclose(back.action_matrix, as_map.action_matrix, rtol=0, atol=1e-12)
+    code, rep = invoke(tmp_path, "--command", "minimal", "--in", channel_path)
+    assert code == 0
+    dual = ch.dilation_multimap(io.decode_multilinear_dilation(rep["result"]["dilation"]))
+    assert np.allclose(dual.action_matrix, linalg.dagger(as_map.action_matrix), rtol=0, atol=1e-12)
+    # V^dag V is the map at I: the damping map is not unital, its dual is
+    assert invoke(tmp_path, "--command", "zigzag", "--in", map_path)[0] == 1
+    assert invoke(tmp_path, "--command", "zigzag", "--in", channel_path)[0] == 0
+
+
+def test_a_map_of_no_slots_is_dilated_and_has_no_n_adjoint(tmp_path):
+    # the constant map () -> P with P = diag(1, 2): V^dag V = P on a carrier of rank P levels
+    constant = ch.OperatorMultiMap((), 2, linalg.vec(np.diag([1.0, 2.0])).reshape(4, 1))
+    path = write(tmp_path, "c.json", io.encode_multimap(constant))
+    code, rep = invoke(tmp_path, "--command", "minimal", "--in", path)
+    assert code == 0 and rep["result"]["carrier_dim"] == 2
+    back = ch.dilation_multimap(io.decode_multilinear_dilation(rep["result"]["dilation"]))
+    assert np.allclose(back.action_matrix, constant.action_matrix, rtol=0, atol=1e-12)
+    code, rep = invoke(tmp_path, "--command", "zigzag", "--in", path)
+    assert code == 1 and rep["result"]["isometry_defect"] == pytest.approx(1.0)
+    # a dilation without representations: no slot to take the adjoint in
+    bare = write(tmp_path, "bare.json", io.encode_multilinear_dilation(ch.MultilinearDilation((), np.eye(2))))
+    for source in (path, bare):
+        code, rep = invoke(tmp_path, "--command", "nadjoint", "--in", source)
+        assert code == 2 and "at least one operator slot" in rep["error"]
+
+
+@pytest.mark.parametrize("command", ["minimal", "zigzag", "nadjoint"])
+def test_what_has_no_dilation_is_refused(tmp_path, command):
+    # a map that is not CP fails as a non-CP channel does: exit 1, the Choi minimum
+    hidden_transpose = ch.multimap_from_function(lambda a, b: np.trace(a) * b.T, (2, 2), 2)
+    path = write(tmp_path, "t.json", io.encode_multimap(hidden_transpose))
+    code, rep = invoke(tmp_path, "--command", command, "--in", path)
+    assert code == 1
+    assert rep["result"]["min_eigenvalue"] < -0.5 and "eigenvalue" in rep["result"]["error"]
+    # a multilinear map on vectors is no operation on operators: exit 2
+    vector_map = multilinear.MultilinearVectorMap((2, 2), 2, np.arange(8.0).reshape(2, 4))
+    path = write(tmp_path, "v.json", io.encode_multilinear_map(vector_map))
+    code, rep = invoke(tmp_path, "--command", command, "--in", path)
+    assert code == 2 and "result" not in rep
+    assert "expected a channel, Kraus set, or operator map" in rep["error"]
 
 
 def test_zigzag_command(tmp_path):

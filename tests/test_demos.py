@@ -9,6 +9,7 @@ import pytest
 DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 PRINTED = {
+    "channels_and_dilations.py": ("minimal carrier dim equals 4 * rank: True", "n-adjoint profile: (3, 2) -> 2"),
     "no_cloning_witness.py": ("formal term collapses: True", "plain term survives: True"),
 }
 
