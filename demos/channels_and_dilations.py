@@ -68,7 +68,7 @@ print("intertwining residual:", report["intertwining_residual"])
 # ---- Stinespring's theorem for a bilinear CP map --------------------------
 
 # a CP map M_2 x M_2 -> M_3: a channel on M_4 with its input read as two slots
-bilinear = ch.channel_multimap(ch.choi_of(sampling.random_cptp(rng, 4, 3, 2)), (2, 2))
+bilinear = ch.channel_multimap(sampling.random_cptp(rng, 4, 3, 2), (2, 2))
 rank = ch.kraus_rank(ch.choi_of(bilinear))
 
 # existence: Phi(a, b) = V^dag pi_1(a) pi_2(b) V, with pi_1 and pi_2 acting

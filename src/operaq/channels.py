@@ -8,7 +8,14 @@ the channel Choi C = sum_ij E_ij (x) Phi(E_ij) with factors (input,
 output), and two maps between it and an operator map's action matrix:
 choi_of groups a map's slots into one input space, and channel_multimap
 splits the input space back into slots of given dimensions.  Both are one
-reshape and one axis transpose; a slot permutation is one too.
+reshape and one axis transpose; a slot permutation is one too.  They are
+the only coercions of an operation: each takes a channel, a Kraus set or
+an operator map, and returns a value of its own kind unchanged.
+
+A map is CP when its least Choi eigenvalue is at least -1e-10 * max(1,
+largest), the cut of _kraus_cut: is_cp, kraus_from_choi and the ideal
+and circuit refusals of a non-CP map read that one rule.  Only mcp_check
+takes an absolute tolerance, the one its caller asks for.
 
 There is one dilation type, MultilinearDilation: Phi(a_1, ..., a_n) =
 V^dag pi_1(a_1) ... pi_n(a_n) V with commuting representations, and one
@@ -158,29 +165,36 @@ def kraus_to_superop(ks: KrausSet) -> np.ndarray:
     return sum(linalg.kron(np.conj(k), k) for k in ks.operators)
 
 
-def choi_of(source) -> QuantumChannel:
-    """Channel Choi matrix C = sum_ij E_ij (x) Phi(E_ij) of a Kraus set, or
-    of an operator map with its slots grouped into one input space.
+def choi_of(op) -> QuantumChannel:
+    """Channel Choi matrix C = sum_ij E_ij (x) Phi(E_ij) of an operation: a
+    channel as it is, a Kraus set, or an operator map with its slots
+    grouped into one input space.
 
     Split into (column, row) axes per factor, the action has axes
     (out col, out row, col_1, row_1, ..., col_n, row_n); C has rows
     (row_1, ..., row_n, out row) and columns (col_1, ..., col_n, out col),
     so it is one transpose of the action."""
-    if isinstance(source, KrausSet):
-        action, dims, m = kraus_to_superop(source), (source.in_dim,), source.out_dim
-    elif isinstance(source, OperatorMultiMap):
-        action, dims, m = source.action_matrix, source.input_operator_dims, source.output_operator_dim
+    if isinstance(op, QuantumChannel):
+        return op
+    if isinstance(op, KrausSet):
+        action, dims, m = kraus_to_superop(op), (op.in_dim,), op.out_dim
+    elif isinstance(op, OperatorMultiMap):
+        action, dims, m = op.action_matrix, op.input_operator_dims, op.output_operator_dim
     else:
-        raise TypeError(f"cannot build a Choi matrix from {type(source).__name__}")
+        raise TypeError(f"cannot build a Choi matrix from {type(op).__name__}")
     din = int(np.prod(dims))
     t = action.reshape([m, m] + [d for d in dims for _ in "cr"])
     order = list(range(3, t.ndim, 2)) + [1] + list(range(2, t.ndim, 2)) + [0]
     return QuantumChannel(din, m, t.transpose(order).reshape(din * m, din * m))
 
 
-def channel_multimap(ch: QuantumChannel, input_dims=None) -> OperatorMultiMap:
-    """The operator map of a channel, its input space read as slots of the
-    given dims (default one slot); the inverse of choi_of."""
+def channel_multimap(op, input_dims=None) -> OperatorMultiMap:
+    """The operator map of an operation, its grouped input space read as
+    slots of the given dims; the inverse of choi_of.  Without dims an
+    operator map comes back unchanged and anything else takes one slot."""
+    if input_dims is None and isinstance(op, OperatorMultiMap):
+        return op
+    ch = choi_of(op)
     dims = (ch.in_dim,) if input_dims is None else tuple(int(d) for d in input_dims)
     if any(d < 1 for d in dims) or int(np.prod(dims)) != ch.in_dim:
         raise DimensionMismatchError(
@@ -211,7 +225,8 @@ def choi_min_eigenvalue(ch: QuantumChannel) -> float:
 
 
 def is_cp(ch: QuantumChannel) -> bool:
-    return choi_min_eigenvalue(ch) >= -1e-10
+    vals = _choi_eigenvalues(ch.choi)
+    return bool(vals[0] >= -_kraus_cut(vals))
 
 
 def tp_defect(ch: QuantumChannel) -> float:

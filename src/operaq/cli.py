@@ -36,15 +36,7 @@ SEEDED = frozenset({"operad-laws", "monad-laws", "algebra-laws", "ideal-closure"
 
 
 def _as_channel(obj, ctx: str) -> channels.QuantumChannel:
-    return _channel_of(io.decode_operation(obj, ctx), ctx)
-
-
-def _channel_of(op, ctx: str) -> channels.QuantumChannel:
-    if isinstance(op, (channels.KrausSet, channels.OperatorMultiMap)):
-        return channels.choi_of(op)
-    if isinstance(op, channels.QuantumChannel):
-        return op
-    raise SchemaError(f"{ctx}: expected a channel, Kraus set, or operator map")
+    return channels.choi_of(io.decode_operation(obj, ctx))
 
 
 def _decode_dilation_like(obj, ctx: str) -> channels.MultilinearDilation:
@@ -53,10 +45,7 @@ def _decode_dilation_like(obj, ctx: str) -> channels.MultilinearDilation:
     Heisenberg dual."""
     if isinstance(obj, dict) and "reps" in obj:
         return io.decode_multilinear_dilation(obj, ctx)
-    op = io.decode_operation(obj, ctx)
-    if isinstance(op, multilinear.MultilinearVectorMap):
-        raise SchemaError(f"{ctx}: expected a channel, Kraus set, or operator map")
-    return channels.heisenberg_dilation(op)
+    return channels.heisenberg_dilation(io.decode_operation(obj, ctx))
 
 
 def _encode_witness(w) -> Optional[dict]:
@@ -82,7 +71,7 @@ def _interp_and_term(objs, paths):
 
 def cmd_check_cp(objs, paths, tol, seed):
     op = io.decode_operation(objs[0], paths[0])
-    ch = _channel_of(op, paths[0])
+    ch = channels.choi_of(op)
     low = channels.choi_min_eigenvalue(ch)
     cp = bool(low >= -tol["eig"])
     result = {"cp": cp, "min_eigenvalue": low}
@@ -222,10 +211,8 @@ def cmd_algebra_laws(objs, paths, tol, seed):
 
 
 def cmd_homcheck(objs, paths, tol, seed):
-    op = io.decode_operation(objs[0], paths[0])
-    if isinstance(op, channels.QuantumChannel):
-        op = channels.channel_multimap(op)
-    if not isinstance(op, channels.OperatorMultiMap) or op.arity != 1:
+    op = channels.channel_multimap(io.decode_operation(objs[0], paths[0]))
+    if op.arity != 1:
         raise SchemaError(f"{paths[0]}: the map under test must take one operator slot")
     report = monad.homomorphism_check(
         op,

@@ -1,9 +1,10 @@
 """Ideals of quantum operations, quotient terms, and no-go witnesses.
 
 Membership is predicate or certificate based and closure is verified by
-sampling compositions, never proved; every report says so.  Quotient terms
-are ordinary terms in which collapsed subtrees appear as per-signature
-formal "bottom" symbols, so the whole operad toolbox keeps working on them.
+sampling compositions, never proved; every closure report says so.
+Quotient terms are ordinary terms in which collapsed subtrees appear as
+per-signature formal "bottom" symbols, so the whole operad toolbox keeps
+working on them.
 The broadcast witness solves the pure-state constraint system for a linear
 broadcaster, cloning value rows included, by its Kronecker structure and
 reports the least squares residual; a residual bounded away from zero is
@@ -67,18 +68,8 @@ def clone_generator(d: int) -> FormalGenerator:
     return FormalGenerator(f"Clone_{d}", d)
 
 
-def _as_multimap(op) -> channels.OperatorMultiMap:
-    if isinstance(op, channels.OperatorMultiMap):
-        return op
-    if isinstance(op, channels.QuantumChannel):
-        return channels.channel_multimap(op)
-    if isinstance(op, channels.KrausSet):
-        return channels.channel_multimap(channels.choi_of(op))
-    raise TypeError(f"cannot test membership of {type(op).__name__}")
-
-
 def _same_operation(a: channels.OperatorMultiMap, b) -> bool:
-    b = _as_multimap(b)
+    b = channels.channel_multimap(b)
     if (
         a.input_operator_dims != b.input_operator_dims
         or a.output_operator_dim != b.output_operator_dim
@@ -90,22 +81,22 @@ def _same_operation(a: channels.OperatorMultiMap, b) -> bool:
 def is_member(spec: IdealSpec, op) -> dict:
     """Predicate verdict with evidence; the domain is CP operations.
 
-    CP and the Kraus rank (the number of Choi eigenvalues above
-    1e-10 * max(1, largest), the cut of channels.kraus_rank) come from one
-    eigenvalue-only spectrum; only a rank of at most one takes the
-    eigenvectors, for the isometry defect, and a defect above 1e-9 makes
-    the map a member."""
-    mm = _as_multimap(op)
+    With the cut 1e-10 * max(1, largest) of channels.kraus_from_choi, CP
+    (no Choi eigenvalue below minus the cut) and the Kraus rank (the number
+    above it) come from one eigenvalue-only spectrum; only a rank of at
+    most one takes the eigenvectors, for the isometry defect, and a defect
+    above 1e-9 makes the map a member."""
+    mm = channels.channel_multimap(op)
     chan = channels.choi_of(mm)
     vals = channels._choi_eigenvalues(chan.choi)
-    bad = float(vals[0])
-    if bad < -1e-10:
+    bad, cut = float(vals[0]), channels._kraus_cut(vals)
+    if bad < -cut:
         raise NotCompletelyPositiveError(
             "membership predicates are defined on completely positive maps",
             min_eigenvalue=bad,
         )
     if spec.predicate == "non-isometric":
-        rank = int(np.sum(vals > channels._kraus_cut(vals)))
+        rank = int(np.sum(vals > cut))
         defect = None
         if rank <= 1:
             # the dominant Kraus operator, the zero operator for the zero map
@@ -173,7 +164,7 @@ def closure_check(spec: IdealSpec, pool, trials: int = 1000, seed: int = 0) -> d
     Contexts are drawn from the finite pool, so many trials repeat one.
     Each trial is counted in checks and gets its own violation entry, but
     each distinct context is composed and tested once per call."""
-    items = [_as_multimap(x) for x in pool]
+    items = [channels.channel_multimap(x) for x in pool]
     members = [i for i, x in enumerate(items) if is_member(spec, x)["member"]]
     if not members:
         return {
@@ -524,7 +515,8 @@ def clone_pattern_match(t, interp: operad.Interpretation) -> dict:
 
 def ideal_inclusion_check(inner: IdealSpec, outer: IdealSpec, pool) -> dict:
     """Every pool operation recognized by the inner ideal must be recognized
-    by the outer one."""
+    by the outer one.  Every entry is tested and nothing is sampled, so the
+    verdict holds for the given pool and says nothing beyond it."""
     checked = 0
     inner_members = 0
     violations = []
@@ -548,5 +540,5 @@ def ideal_inclusion_check(inner: IdealSpec, outer: IdealSpec, pool) -> dict:
         "inner_members": inner_members,
         "violations": violations,
         "passed": not violations,
-        "note": SAMPLING_NOTE,
+        "note": "decided on the given pool only; operations outside it are not tested",
     }

@@ -191,7 +191,8 @@ def decode_pool(obj, ctx: str = "pool") -> list:
 
 
 def decode_operation(obj, ctx: str = "operation"):
-    """Sniff which operation kind an artifact holds."""
+    """The channel, Kraus set or operator map an artifact holds, told apart
+    by its fields.  A multilinear map on vectors is no operation."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{ctx}: expected an object")
     if "action" in obj:
@@ -200,11 +201,9 @@ def decode_operation(obj, ctx: str = "operation"):
         return decode_channel(obj, ctx)
     if "operators" in obj:
         return decode_kraus(obj, ctx)
-    if "matrix" in obj and "input_dims" in obj:
-        return decode_multilinear_map(obj, ctx)
     raise SchemaError(
-        f"{ctx}: not a known operation (expected one of the fields "
-        "'action', 'repr', 'operators', 'matrix')"
+        f"{ctx}: not a known operation: expected a channel, Kraus set, or operator map "
+        "(one of the fields 'repr', 'operators', 'action')"
     )
 
 
@@ -322,21 +321,16 @@ def encode_interpretation(interp: operad.Interpretation) -> dict:
 
 def decode_interpretation(obj, ctx: str = "interpretation") -> operad.Interpretation:
     spec = decode_operad_spec(_need(obj, "operad", ctx), f"{ctx}.operad")
-    assign_obj = _need(obj, "assign", ctx, dict)
-    assign = {}
-    for name, entry in assign_obj.items():
-        op = decode_operation(entry, f"{ctx}.assign[{name}]")
-        if isinstance(op, channels.KrausSet):
-            op = channels.choi_of(op)
-        if isinstance(op, multilinear.MultilinearVectorMap):
-            raise SchemaError(f"{ctx}.assign[{name}]: expected an operator map")
-        assign[name] = op
+    assign = {
+        name: decode_operation(entry, f"{ctx}.assign[{name}]")
+        for name, entry in _need(obj, "assign", ctx, dict).items()
+    }
     return operad.Interpretation(spec, assign, _need(obj, "carrier_dim", ctx, int, None))
 
 
 def encode_ideal_spec(spec: ideals.IdealSpec) -> dict:
     def enc(op):
-        return encode_multimap(ideals._as_multimap(op))
+        return encode_multimap(channels.channel_multimap(op))
 
     return {
         "name": spec.name,

@@ -21,11 +21,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from . import channels, linalg, operad
-from .errors import (
-    DimensionMismatchError,
-    NotCompletelyPositiveError,
-    UnassignedSymbolError,
-)
+from .errors import DimensionMismatchError, UnassignedSymbolError
 
 MERGE_TOL = 1e-12
 
@@ -381,13 +377,7 @@ def stinespring_circuit(phi: channels.QuantumChannel):
     out_dim * env with env at least the Kraus rank.  Returns the circuit
     term and a dict of box actions; box_interpretation wraps the latter for
     interpret_circuit."""
-    vals, ks = channels._choi_spectrum(phi)
-    bad = float(vals[0])
-    if bad < -1e-10:
-        raise NotCompletelyPositiveError(
-            "only completely positive maps admit a dilation circuit",
-            min_eigenvalue=bad,
-        )
+    ks = channels.kraus_from_choi(phi)
     if not channels.is_tp(phi):
         raise ValueError("the circuit construction needs a trace preserving channel")
     n, m, r = phi.in_dim, phi.out_dim, len(ks.operators)
@@ -412,9 +402,7 @@ def stinespring_circuit(phi: channels.QuantumChannel):
         "prep_env": channels.OperatorMultiMap(
             (), anc, linalg.vec(linalg.matrix_unit(anc, 0, 0)).reshape(-1, 1)
         ),
-        "joint_unitary": channels.channel_multimap(
-            channels.choi_of(channels.KrausSet((u,))), (n, anc)
-        ),
+        "joint_unitary": channels.channel_multimap(channels.KrausSet((u,)), (n, anc)),
         "trace_env": channels.OperatorMultiMap((big,), m, channels.kraus_to_superop(trace_env)),
     }
     circuit = operad.CircuitTerm(

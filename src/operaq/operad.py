@@ -320,10 +320,7 @@ class Interpretation:
             sym = self.operad[name]
             if sym.formal:
                 raise NonLinearGeneratorError(f"{name} is a formal generator and has no action")
-            if isinstance(value, channels.QuantumChannel):
-                value = channels.channel_multimap(value)
-            if not isinstance(value, channels.OperatorMultiMap):
-                raise TypeError(f"assignment for {name} must be an operator map or channel")
+            value = channels.channel_multimap(value)
             if value.arity != sym.arity:
                 raise DimensionMismatchError(
                     f"{name} has arity {sym.arity} but its action takes {value.arity} inputs"

@@ -124,6 +124,72 @@ def test_channel_multimap_refuses_dims_that_do_not_split_the_input():
     assert ch.channel_multimap(ch.QuantumChannel(1, 2, np.eye(2)), ()).arity == 0
 
 
+def test_choi_of_and_channel_multimap_take_every_operation():
+    rng = np.random.default_rng(4)
+    ks = sampling.random_cptp(rng, 4, 2, 2)
+    chan = ch.choi_of(ks)
+    mm = ch.channel_multimap(chan, (2, 2))
+    # a value of the coercion's own kind comes back as it is
+    assert ch.choi_of(chan) is chan
+    assert ch.channel_multimap(mm) is mm
+    # every kind reaches the same Choi matrix and the same slots
+    for source in (ks, chan, mm):
+        assert np.array_equal(ch.choi_of(source).choi, chan.choi)
+        assert np.array_equal(ch.channel_multimap(source, (2, 2)).action_matrix, mm.action_matrix)
+    one_slot = ch.channel_multimap(chan)
+    assert np.array_equal(ch.channel_multimap(ks).action_matrix, one_slot.action_matrix)
+    assert np.array_equal(ch.channel_multimap(mm, (4,)).action_matrix, one_slot.action_matrix)
+    # and an interpretation takes a Kraus set as the map it is
+    spec = op.OperadSpec((op.OperadSymbol("f", 1),))
+    assert np.array_equal(op.Interpretation(spec, {"f": ks}).action("f").action_matrix, one_slot.action_matrix)
+    for other in (np.eye(2), "f", None):
+        with pytest.raises(TypeError, match="cannot build a Choi matrix"):
+            ch.choi_of(other)
+        with pytest.raises(TypeError, match="cannot build a Choi matrix"):
+            op.Interpretation(spec, {"f": other})
+
+
+def near_cut_channel(factor):
+    """The identity channel on C^3 with the Choi eigenvalue of its null
+    vector |0>|1> moved to factor times the relative CP cut 1e-10 * max(1,
+    largest), and the same weight added on |0>|0>, so that the channel
+    stays trace preserving exactly.  Built by eigh, its largest eigenvalue
+    is 3 + O(1e-10), so half the cut lies below an absolute -1e-10."""
+    vals, vecs = np.linalg.eigh(ch.identity_channel(3).choi)
+    low = factor * 1e-10 * max(1.0, vals[-1])
+    shift = np.zeros(9)
+    shift[:2] = -low, low  # Choi rows are (input, output): |0>|0> and |0>|1>
+    choi = vecs @ np.diag(vals) @ vecs.conj().T + np.diag(shift)
+    got = np.linalg.eigvalsh(choi)
+    assert got[-1] > 1 and got[0] == pytest.approx(low, rel=1e-6)
+    assert ch.tp_defect(ch.QuantumChannel(3, 3, choi)) <= 1e-15
+    return ch.QuantumChannel(3, 3, choi)
+
+
+def test_one_cp_rule_at_the_relative_cut():
+    noniso = ideals.IdealSpec("noniso", "non-isometric")
+    # half the cut below zero is round-off: every reader takes the map as CP
+    inside = near_cut_channel(-0.5)
+    assert ch.is_cp(inside)
+    assert len(ch.kraus_from_choi(inside).operators) == 1
+    assert ideals.is_member(noniso, inside)["evidence"]["kraus_rank"] == 1
+    circuit, boxes = monad.stinespring_circuit(inside)
+    rec = monad.circuit_channel(circuit, boxes, (3,))
+    assert np.max(np.abs(rec.choi - inside.choi)) <= 1e-9
+    # twice the cut below zero: every reader refuses it with the eigenvalue
+    outside = near_cut_channel(-2.0)
+    assert not ch.is_cp(outside)
+    refusals = (
+        ch.kraus_from_choi,
+        lambda c: ideals.is_member(noniso, c),
+        monad.stinespring_circuit,
+    )
+    for refuse in refusals:
+        with pytest.raises(NotCompletelyPositiveError) as info:
+            refuse(outside)
+        assert info.value.min_eigenvalue == pytest.approx(-6e-10, rel=1e-6)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(1, 5))
 def test_transpose_multimap_is_the_dense_swap(d):

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from operaq import channels as ch
 import operaq
 from operaq import cli, ideals, io, linalg, monad, multilinear, operad, sampling
+from test_channels import near_cut_channel
 
 
 def write(tmp_path, name, obj):
@@ -282,12 +283,92 @@ def test_what_has_no_dilation_is_refused(tmp_path, command):
     code, rep = invoke(tmp_path, "--command", command, "--in", path)
     assert code == 1
     assert rep["result"]["min_eigenvalue"] < -0.5 and "eigenvalue" in rep["result"]["error"]
-    # a multilinear map on vectors is no operation on operators: exit 2
+
+
+NO_OPERATION = (
+    "not a known operation: expected a channel, Kraus set, or operator map "
+    "(one of the fields 'repr', 'operators', 'action')"
+)
+
+
+# command, --in files, extra argv, and the file and field the refusal names
+MATRIX_ARTIFACT_CASES = [
+    pytest.param(command, ["matrix.json"], (), "matrix.json", id=command)
+    for command in (
+        "check-cp", "check-tp", "choi", "kraus", "dilate", "minimal", "zigzag", "nadjoint",
+        "circuit-realize",
+    )
+] + [
+    pytest.param("homcheck", ["matrix.json", "interp.json", "interp.json"], (), "matrix.json", id="homcheck"),
+    pytest.param("opequiv", ["dep.json", "matrix.json", "interp.json"], (), "matrix.json", id="opequiv"),
+    pytest.param("ideal-member", ["noniso.json", "matrix.json"], (), "matrix.json", id="ideal-member"),
+    pytest.param(
+        "ideal-closure", ["noniso.json", "pool.json"], ("--seed", "1"), "pool.json.pool[1]", id="ideal-closure"
+    ),
+    pytest.param("ideal-member", ["cert.json", "dep.json"], (), "cert.json.members[0]", id="certificate-member"),
+]
+
+
+@pytest.mark.parametrize("command, names, extra, where", MATRIX_ARTIFACT_CASES)
+def test_a_matrix_artifact_is_no_operation(tmp_path, capsys, command, names, extra, where):
+    # a multilinear map on vectors is no operation on operators: every
+    # command that reads one exits 2 at decode, with a report and no traceback
     vector_map = multilinear.MultilinearVectorMap((2, 2), 2, np.arange(8.0).reshape(2, 4))
-    path = write(tmp_path, "v.json", io.encode_multilinear_map(vector_map))
-    code, rep = invoke(tmp_path, "--command", command, "--in", path)
+    matrix = io.encode_multilinear_map(vector_map)
+    dep = io.encode_channel(ch.depolarizing_channel(2, 0.5))
+    files = {
+        "matrix.json": matrix,
+        "dep.json": dep,
+        "interp.json": qubit_interp_obj(),
+        "noniso.json": io.encode_ideal_spec(ideals.IdealSpec("noniso", "non-isometric")),
+        "pool.json": {"pool": [dep, matrix]},
+        "cert.json": {"name": "cert", "predicate": "certificate-list", "members": [matrix]},
+    }
+    argv = [a for name in names for a in ("--in", write(tmp_path, name, files[name]))]
+    code, rep = invoke(tmp_path, "--command", command, *argv, *extra)
     assert code == 2 and "result" not in rep
-    assert "expected a channel, Kraus set, or operator map" in rep["error"]
+    assert rep["error"] == f"{tmp_path / where}: {NO_OPERATION}"
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_homcheck_reads_a_kraus_set_as_its_channel(tmp_path):
+    interp = write(tmp_path, "interp.json", qubit_interp_obj())
+    u = sampling.random_unitary(np.random.default_rng(8), 2)
+    kset = write(tmp_path, "kset.json", {"operators": [io.encode_matrix(u)]})
+    choi = write(tmp_path, "choi.json", io.encode_channel(ch.choi_of(ch.KrausSet((u,)))))
+    reports = [
+        invoke(tmp_path, "--command", "homcheck", "--in", f, "--in", interp, "--in", interp)
+        for f in (kset, choi)
+    ]
+    assert reports[0][0] == reports[1][0] == 1
+    assert io.canonical_json(reports[0][1]["result"]) == io.canonical_json(reports[1][1]["result"])
+    # the identity as a Kraus set is a homomorphism of any algebra to itself
+    ident = write(tmp_path, "ident.json", {"operators": [io.encode_matrix(np.eye(2))]})
+    code, rep = invoke(tmp_path, "--command", "homcheck", "--in", ident, "--in", interp, "--in", interp)
+    assert code == 0 and rep["result"]["witness"] is None
+
+
+@pytest.mark.parametrize("factor", [-0.5, -2.0])
+def test_the_near_cut_channel_gets_one_cp_answer(tmp_path, factor):
+    phi = near_cut_channel(factor)
+    path = write(tmp_path, "phi.json", io.encode_channel(phi))
+    ideal = write(tmp_path, "ideal.json", io.encode_ideal_spec(ideals.IdealSpec("noniso", "non-isometric")))
+    runs = {
+        "kraus": invoke(tmp_path, "--command", "kraus", "--in", path),
+        "minimal": invoke(tmp_path, "--command", "minimal", "--in", path),
+        "circuit-realize": invoke(tmp_path, "--command", "circuit-realize", "--in", path),
+        "ideal-member": invoke(tmp_path, "--command", "ideal-member", "--in", ideal, "--in", path),
+    }
+    if factor == -0.5:
+        # CP for all four; the identity channel is isometric, so no member
+        assert [code for code, _ in runs.values()] == [0, 0, 0, 1]
+        assert all("min_eigenvalue" not in rep["result"] for _, rep in runs.values())
+        assert runs["ideal-member"][1]["result"]["member"] is False
+    else:
+        for command, (code, rep) in runs.items():
+            assert code == 1 and rep["result"]["min_eigenvalue"] == pytest.approx(-6e-10, rel=1e-6), command
+        assert "Choi matrix has eigenvalue" in runs["circuit-realize"][1]["result"]["error"]
 
 
 def test_zigzag_command(tmp_path):

@@ -324,7 +324,7 @@ def test_contraction_builds_no_kron_or_gather(monkeypatch):
         op.circuit_parallel(op.generator_circuit("g", 1), op.generator_circuit("prep", 0)),
     )
     joint = ch.channel_multimap(sampling.random_channel(rng, 4, 2), (2, 2))
-    pool = [ideals._as_multimap(sampling.random_cptp(rng, 2, 2)) for _ in range(3)]
+    pool = [ch.channel_multimap(sampling.random_cptp(rng, 2, 2)) for _ in range(3)]
     pool.append(joint)
     want = (
         old_interpret(interp, term),

@@ -140,7 +140,7 @@ def oracle_grouped_channel(mm):
 
 
 def oracle_is_member(spec, op, tol=1e-9):
-    mm = ideals._as_multimap(op)
+    mm = ch.channel_multimap(op)
     chan = oracle_grouped_channel(mm)
     vals, ks = ch._choi_spectrum(chan)
     bad = float(vals[0])
@@ -376,7 +376,7 @@ def oracle_closure_check(spec, pool, trials, seed):
             return None
         return choices[int(rng.integers(len(choices)))]
 
-    items = [ideals._as_multimap(x) for x in pool]
+    items = [ch.channel_multimap(x) for x in pool]
     members = [x for x in items if ideals.is_member(spec, x)["member"]]
     if not members:
         return {
@@ -484,7 +484,7 @@ def _counting_is_member(monkeypatch):
     is_member = ideals.is_member
 
     def counted(spec, op, *args, **kwargs):
-        mm = ideals._as_multimap(op)
+        mm = ch.channel_multimap(op)
         seen.append((mm.input_operator_dims, mm.output_operator_dim, mm.action_matrix.tobytes()))
         return is_member(spec, op, *args, **kwargs)
 

@@ -64,13 +64,11 @@ def test_operation_sniffing():
     )
     ks = {"operators": [io.encode_matrix(np.eye(2))]}
     assert isinstance(io.decode_operation(ks), ch.KrausSet)
+    # a multilinear map on vectors is no operation on operators
     phi = multilinear.MultilinearVectorMap((2,), 2, np.eye(2, dtype=complex))
-    assert isinstance(
-        io.decode_operation(io.encode_multilinear_map(phi)),
-        multilinear.MultilinearVectorMap,
-    )
-    with pytest.raises(SchemaError, match="not a known operation"):
-        io.decode_operation({"stuff": 1})
+    for obj in (io.encode_multilinear_map(phi), {"stuff": 1}):
+        with pytest.raises(SchemaError, match="not a known operation: expected a channel, Kraus set, or operator map"):
+            io.decode_operation(obj)
 
 
 def test_dilation_roundtrips():
